@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci build vet test race bench bench-smoke fuzz-smoke bench-baseline e2e-cluster e2e-journal e2e-chaos e2e-mixed docs-check
+.PHONY: ci build vet test race bench bench-smoke fuzz-smoke bench-baseline e2e-cluster e2e-journal e2e-chaos e2e-mixed docs-check perfbench-check
 
 # ci is the tier-1 gate: everything must build, vet clean, pass under
 # the race detector, keep the batched dispatch path alive (bench-smoke
@@ -10,9 +10,11 @@ GO ?= go
 # (e2e-cluster), keep crash recovery honest (e2e-journal), keep the
 # deadline/retry/breaker machinery honest under injected faults
 # (e2e-chaos), keep byte-fair scheduling honest under a mixed
-# large-payload load (e2e-mixed), and keep the docs honest (docs-check
-# catches references to removed symbols).
-ci: build vet race bench-smoke fuzz-smoke e2e-cluster e2e-journal e2e-chaos e2e-mixed docs-check
+# large-payload load (e2e-mixed), keep the docs honest (docs-check
+# catches references to removed symbols), and keep the benchmark
+# harness compiling against the internal APIs it drives
+# (perfbench-check).
+ci: build vet race bench-smoke fuzz-smoke e2e-cluster e2e-journal e2e-chaos e2e-mixed docs-check perfbench-check
 
 build:
 	$(GO) build ./...
@@ -96,3 +98,10 @@ e2e-mixed:
 # flags that no longer exist (see scripts/docs-check.sh).
 docs-check:
 	sh scripts/docs-check.sh
+
+# perfbench-check vets and tests the benchmark harness. perfbench is a
+# separate module (perfbench/go.mod), so the root `go build ./...` never
+# compiles it; without this target an internal API change could break
+# the harness unseen.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...

@@ -1,6 +1,7 @@
 package dandelion_test
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -258,7 +259,7 @@ composition U(In) => Result {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			out, err := m.Invoke("U", map[string][]dandelion.Item{
+			out, err := m.InvokeKeyedAsCtx(context.Background(), dandelion.DefaultTenant, "U", "", map[string][]dandelion.Item{
 				"In": {{Name: "x", Data: []byte("dandelion")}},
 			})
 			if err == nil && string(out["Result"][0].Data) != "DANDELION" {

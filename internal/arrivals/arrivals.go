@@ -1,8 +1,8 @@
-// Package workload provides open-loop load generation and latency
+// Package arrivals provides open-loop load generation and latency
 // recording for the performance-model layer: constant-rate and Poisson
 // arrival processes, piecewise bursty load patterns (§7.6), and
 // recorders that produce the statistics the paper's figures plot.
-package workload
+package arrivals
 
 import (
 	"dandelion/internal/sim"

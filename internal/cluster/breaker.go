@@ -34,7 +34,7 @@ const (
 	defaultBreakerCooldown  = time.Second
 )
 
-// BreakerNode is the optional circuit-breaker interface of a worker:
+// BreakerNode is the optional transport-health interface of a worker:
 // the manager skips workers reporting BreakerOpen when picking routes,
 // and AggregateStats surfaces the state and counters per worker. A
 // RemoteNode satisfies it; in-process platforms (which have no
@@ -49,6 +49,9 @@ type BreakerNode interface {
 	// including half-open probes that failed) and fast-fails (calls
 	// refused locally while open).
 	BreakerCounters() (trips, fastFails uint64)
+	// Retries reports the in-place transport retries the worker's
+	// transport has issued.
+	Retries() uint64
 }
 
 // breaker is a closed/open/half-open circuit breaker. A nil breaker or

@@ -18,78 +18,15 @@ import (
 	"dandelion/internal/sched"
 )
 
-// Node is one worker the manager can route invocations to. A
-// *core.Platform satisfies it; tests use fakes.
+// Node is one worker the manager can route invocations to: a batch of
+// requests under a caller context (the deadline travels with it —
+// over the wire as X-Deadline-Ms on remote workers), per-tenant DRR
+// weight updates, and a gauge snapshot. The error return of NodeStats
+// accommodates remote workers whose snapshot travels a network. A
+// *core.Platform and a *RemoteNode both satisfy it.
 type Node interface {
-	Invoke(name string, inputs map[string][]memctx.Item) (map[string][]memctx.Item, error)
-}
-
-// TenantNode is the optional tenant-aware interface of a worker. A
-// *core.Platform satisfies it; invocations routed to workers that do
-// not drop to plain Invoke (losing the tenant tag, not the work).
-type TenantNode interface {
-	InvokeAs(tenant, name string, inputs map[string][]memctx.Item) (map[string][]memctx.Item, error)
-}
-
-// BatchNode is the optional batched-dispatch interface of a worker. A
-// *core.Platform satisfies it; workers that do not are driven through
-// per-request Invoke as a fallback. Tenancy travels inside each
-// core.BatchRequest, so no separate tenant interface is needed here.
-type BatchNode interface {
-	InvokeBatch(reqs []core.BatchRequest) []core.BatchResult
-}
-
-// KeyedNode is the optional idempotency-aware interface of a worker: a
-// single invocation routed with a key is deduplicated at the worker by
-// that key (see core.Platform.InvokeKeyedAs). Workers that do not
-// implement it are driven through the tenant/plain interfaces and the
-// key is dropped — the invocation still runs, without dedup.
-type KeyedNode interface {
-	InvokeKeyedAs(tenant, name, key string, inputs map[string][]memctx.Item) (map[string][]memctx.Item, error)
-}
-
-// CtxNode is the optional context-aware invoke interface of a worker:
-// the caller's deadline and cancellation travel with the invocation
-// (over the wire as X-Deadline-Ms on remote workers). A *core.Platform
-// and a *RemoteNode both satisfy it; workers that do not are driven
-// through the context-free interfaces — the work still runs, without a
-// deadline.
-type CtxNode interface {
-	InvokeAsCtx(ctx context.Context, tenant, name string, inputs map[string][]memctx.Item) (map[string][]memctx.Item, error)
-}
-
-// KeyedCtxNode is KeyedNode with a caller context (see CtxNode).
-type KeyedCtxNode interface {
-	InvokeKeyedAsCtx(ctx context.Context, tenant, name, key string, inputs map[string][]memctx.Item) (map[string][]memctx.Item, error)
-}
-
-// BatchCtxNode is BatchNode with a caller context (see CtxNode).
-type BatchCtxNode interface {
 	InvokeBatchCtx(ctx context.Context, reqs []core.BatchRequest) []core.BatchResult
-}
-
-// RetryNode is the optional retry-observability interface of a worker:
-// in-place transport retries it has issued, surfaced per worker in
-// /stats/cluster. A *RemoteNode satisfies it.
-type RetryNode interface {
-	Retries() uint64
-}
-
-// WeightNode is the optional control-plane interface of a worker: the
-// manager fans per-tenant DRR weight updates out to every registered
-// worker implementing it (see SetTenantWeight). A *core.Platform
-// satisfies it.
-type WeightNode interface {
 	SetTenantWeight(tenant string, weight int)
-}
-
-// StatsNode is the optional observability interface of a worker: nodes
-// implementing it contribute their gauge snapshot to AggregateStats.
-// The error return accommodates remote workers whose snapshot travels a
-// network; a worker that errors is skipped for that aggregation round
-// and reported in ClusterStats.StatsErrors. A *core.Platform satisfies
-// it (never erroring).
-type StatsNode interface {
 	NodeStats() (core.Stats, error)
 }
 
@@ -114,7 +51,7 @@ type Manager struct {
 	rr      atomic.Uint64
 
 	// Keyed retries (EnableKeyedRetries): when keyPrefix is non-empty
-	// the manager assigns idempotency keys to every batch request, and
+	// the manager assigns idempotency keys to unkeyed batches, and
 	// keySeq numbers the batches so keys are unique per manager life.
 	keyPrefix string
 	keySeq    atomic.Uint64
@@ -239,8 +176,9 @@ func eligibleNames(names []string, workers map[string]*member) []string {
 	return out
 }
 
-// EnableKeyedRetries turns on idempotency-keyed routing: every batch
-// request gets a chunk key "prefix-seq#i" before dispatch, which makes
+// EnableKeyedRetries turns on idempotency-keyed routing: every request
+// of a batch carrying no key of its own gets a chunk key
+// "prefix-seq#i" before dispatch (see InvokeBatchCtx), which makes
 // wholesale chunk failures safe to retry even for single-request
 // chunks — the worker's completed-key dedup table (journal-backed on
 // durable nodes) absorbs any re-execution. The prefix must be unique
@@ -260,141 +198,54 @@ func (m *Manager) keyedRetries() string {
 	return m.keyPrefix
 }
 
-// Invoke routes one composition invocation to a worker under the
-// default tenant.
-func (m *Manager) Invoke(name string, inputs map[string][]memctx.Item) (map[string][]memctx.Item, error) {
-	return m.InvokeAs(core.DefaultTenant, name, inputs)
-}
-
-// InvokeAs routes one composition invocation to a worker under a tenant
-// identity, preserved end to end when the worker is tenant-aware.
-func (m *Manager) InvokeAs(tenant, name string, inputs map[string][]memctx.Item) (map[string][]memctx.Item, error) {
-	return m.InvokeAsCtx(context.Background(), tenant, name, inputs)
-}
-
-// InvokeAsCtx is InvokeAs under a caller context: the deadline travels
-// to the worker when it is context-aware (remote workers forward the
-// remaining budget over the wire as X-Deadline-Ms).
-func (m *Manager) InvokeAsCtx(ctx context.Context, tenant, name string, inputs map[string][]memctx.Item) (map[string][]memctx.Item, error) {
-	_, w, err := m.pick()
-	if err != nil {
-		return nil, err
-	}
-	w.inflight.Add(1)
-	w.total.Add(1)
-	defer w.inflight.Add(-1)
-	out, err := invokeOnCtx(ctx, w.node, tenant, name, inputs)
-	if err != nil {
-		w.failures.Add(1)
-	}
-	return out, err
-}
-
-// InvokeKeyedAs routes one idempotency-keyed invocation to a worker.
-// On workers implementing KeyedNode the key deduplicates re-sends; on
-// others the key is dropped and the invocation runs unkeyed.
-func (m *Manager) InvokeKeyedAs(tenant, name, key string, inputs map[string][]memctx.Item) (map[string][]memctx.Item, error) {
-	return m.InvokeKeyedAsCtx(context.Background(), tenant, name, key, inputs)
-}
-
-// InvokeKeyedAsCtx is InvokeKeyedAs under a caller context (see
-// InvokeAsCtx).
+// InvokeKeyedAsCtx routes one invocation to the worker pick() chooses
+// (open breakers skipped) as a one-request batch. A non-empty key
+// deduplicates re-sends at the worker (and lets a remote worker's
+// transport retry in place); an empty key runs unkeyed. Unlike a batch
+// chunk, a single is never rerouted, so the manager mints it no key.
 func (m *Manager) InvokeKeyedAsCtx(ctx context.Context, tenant, name, key string, inputs map[string][]memctx.Item) (map[string][]memctx.Item, error) {
 	_, w, err := m.pick()
 	if err != nil {
 		return nil, err
 	}
-	w.inflight.Add(1)
-	w.total.Add(1)
-	defer w.inflight.Add(-1)
-	var out map[string][]memctx.Item
-	switch kn := w.node.(type) {
-	case KeyedCtxNode:
-		if key != "" {
-			out, err = kn.InvokeKeyedAsCtx(ctx, tenant, name, key, inputs)
-		} else {
-			out, err = invokeOnCtx(ctx, w.node, tenant, name, inputs)
-		}
-	case KeyedNode:
-		if key != "" {
-			out, err = kn.InvokeKeyedAs(tenant, name, key, inputs)
-		} else {
-			out, err = invokeOnCtx(ctx, w.node, tenant, name, inputs)
-		}
-	default:
-		out, err = invokeOnCtx(ctx, w.node, tenant, name, inputs)
-	}
-	if err != nil {
-		w.failures.Add(1)
-	}
-	return out, err
+	res := m.runChunk(ctx, w, []core.BatchRequest{{Composition: name, Tenant: tenant, Key: key, Inputs: inputs}})
+	return res[0].Outputs, res[0].Err
 }
 
-// invokeOn dispatches one invocation, using the tenant-aware interface
-// when the worker offers it.
-func invokeOn(n Node, tenant, name string, inputs map[string][]memctx.Item) (map[string][]memctx.Item, error) {
-	if tn, ok := n.(TenantNode); ok {
-		return tn.InvokeAs(tenant, name, inputs)
-	}
-	return n.Invoke(name, inputs)
-}
-
-// invokeOnCtx is invokeOn preferring the context-aware interface, so
-// deadlines reach workers that can honor them and degrade to plain
-// dispatch on workers that cannot.
-func invokeOnCtx(ctx context.Context, n Node, tenant, name string, inputs map[string][]memctx.Item) (map[string][]memctx.Item, error) {
-	if cn, ok := n.(CtxNode); ok {
-		return cn.InvokeAsCtx(ctx, tenant, name, inputs)
-	}
-	return invokeOn(n, tenant, name, inputs)
-}
-
-// InvokeBatch routes a batch of invocations of one composition across
-// the registered workers under the default tenant; see InvokeBatchAs.
-func (m *Manager) InvokeBatch(name string, inputs []map[string][]memctx.Item) []core.BatchResult {
-	return m.InvokeBatchAs(core.DefaultTenant, name, inputs)
-}
-
-// InvokeBatchAsCtx is InvokeBatchAs under a caller context (see
-// InvokeAsCtx): the deadline rides every chunk to its worker.
-func (m *Manager) InvokeBatchAsCtx(ctx context.Context, tenant, name string, inputs []map[string][]memctx.Item) []core.BatchResult {
-	return m.invokeBatchKeyed(ctx, tenant, name, m.assignKeys(len(inputs)), inputs)
-}
-
-// InvokeBatchKeyedAsCtx is InvokeBatchKeyedAs under a caller context.
-func (m *Manager) InvokeBatchKeyedAsCtx(ctx context.Context, tenant, name string, keys []string, inputs []map[string][]memctx.Item) []core.BatchResult {
-	if len(keys) != len(inputs) {
-		keys = nil
-	}
-	return m.invokeBatchKeyed(ctx, tenant, name, keys, inputs)
-}
-
-// assignKeys mints one chunk-key run for a batch of n requests when
-// keyed retries are enabled, nil otherwise.
-func (m *Manager) assignKeys(n int) []string {
+// assignKeys stamps one chunk-key run onto a batch when keyed retries
+// are enabled and no request carries a key of its own; otherwise the
+// requests pass through verbatim. The caller's slice is never mutated.
+func (m *Manager) assignKeys(reqs []core.BatchRequest) []core.BatchRequest {
 	prefix := m.keyedRetries()
-	if prefix == "" || n == 0 {
-		return nil
+	if prefix == "" || len(reqs) == 0 {
+		return reqs
+	}
+	for i := range reqs {
+		if reqs[i].Key != "" {
+			return reqs
+		}
 	}
 	base := fmt.Sprintf("%s-%d", prefix, m.keySeq.Add(1))
-	keys := make([]string, n)
-	for i := range keys {
-		keys[i] = journal.ChunkKey(base, i)
+	keyed := make([]core.BatchRequest, len(reqs))
+	for i, r := range reqs {
+		r.Key = journal.ChunkKey(base, i)
+		keyed[i] = r
 	}
-	return keys
+	return keyed
 }
 
-// InvokeBatchAs routes a batch of invocations of one composition across
-// the registered workers under a tenant identity and returns results in
-// request order.
+// InvokeBatchCtx routes a batch across the registered workers and
+// returns results in request order; the caller context's deadline
+// rides every chunk to its worker.
 //
 // RoundRobin spreads the batch: it is split into near-equal contiguous
 // chunks, one per worker, assigned in rotation order — under sustained
 // batch traffic every worker sees a share of every batch. LeastLoaded
 // sends the whole batch to the worker with the fewest in-flight
 // invocations, keeping batch locality (one program-cache+context warm
-// set per batch). Workers implementing BatchNode get the chunk in one
-// call; others fall back to per-request Invoke.
+// set per batch). Chunks are assigned from the membership snapshot
+// without consulting breakers; an open breaker fast-fails its chunk,
+// which then reroutes.
 //
 // Worker failure mid-batch does not sink the chunk: when a worker fails
 // every request of a multi-request chunk wholesale (the signature of a
@@ -405,27 +256,15 @@ func (m *Manager) assignKeys(n int) []string {
 // Without idempotency keys, single-request chunks are never re-queued —
 // one error cannot be told apart from a legitimate application failure,
 // and a blind retry would duplicate non-idempotent work. With keys
-// (EnableKeyedRetries, or caller-supplied via InvokeBatchKeyedAs) that
+// (EnableKeyedRetries, or carried by the requests themselves) that
 // restraint is lifted: the worker's completed-key dedup table absorbs a
 // re-execution, so keyed single-request chunks retry too, and when no
 // other worker survives the retry may go back to the same (still
 // registered) worker — the transient-transport-failure case, where the
 // work often completed and only the response was lost.
-func (m *Manager) InvokeBatchAs(tenant, name string, inputs []map[string][]memctx.Item) []core.BatchResult {
-	return m.InvokeBatchAsCtx(context.Background(), tenant, name, inputs)
-}
-
-// InvokeBatchKeyedAs routes a batch with caller-supplied idempotency
-// keys (len(keys) must equal len(inputs); empty entries opt that
-// request out). Keyed requests are deduplicated at the workers and
-// their chunks retried on wholesale failure regardless of size.
-func (m *Manager) InvokeBatchKeyedAs(tenant, name string, keys []string, inputs []map[string][]memctx.Item) []core.BatchResult {
-	return m.InvokeBatchKeyedAsCtx(context.Background(), tenant, name, keys, inputs)
-}
-
-func (m *Manager) invokeBatchKeyed(ctx context.Context, tenant, name string, keys []string, inputs []map[string][]memctx.Item) []core.BatchResult {
-	results := make([]core.BatchResult, len(inputs))
-	if len(inputs) == 0 {
+func (m *Manager) InvokeBatchCtx(ctx context.Context, reqs []core.BatchRequest) []core.BatchResult {
+	results := make([]core.BatchResult, len(reqs))
+	if len(reqs) == 0 {
 		return results
 	}
 	_, members := m.snapshot()
@@ -435,6 +274,7 @@ func (m *Manager) invokeBatchKeyed(ctx context.Context, tenant, name string, key
 		}
 		return results
 	}
+	reqs = m.assignKeys(reqs)
 
 	// chunk describes one contiguous slice of the batch and its worker.
 	type chunk struct {
@@ -450,15 +290,15 @@ func (m *Manager) invokeBatchKeyed(ctx context.Context, tenant, name string, key
 				best = w
 			}
 		}
-		chunks = []chunk{{lo: 0, hi: len(inputs), w: best}}
+		chunks = []chunk{{lo: 0, hi: len(reqs), w: best}}
 	default: // RoundRobin
 		k := len(members)
-		if k > len(inputs) {
-			k = len(inputs)
+		if k > len(reqs) {
+			k = len(reqs)
 		}
 		start := m.rr.Add(1) - 1
 		for c := 0; c < k; c++ {
-			lo, hi := c*len(inputs)/k, (c+1)*len(inputs)/k
+			lo, hi := c*len(reqs)/k, (c+1)*len(reqs)/k
 			w := members[(start+uint64(c))%uint64(len(members))]
 			chunks = append(chunks, chunk{lo: lo, hi: hi, w: w})
 		}
@@ -470,12 +310,9 @@ func (m *Manager) invokeBatchKeyed(ctx context.Context, tenant, name string, key
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var ck []string
-			if keys != nil {
-				ck = keys[c.lo:c.hi]
-			}
-			res := m.runChunk(ctx, c.w, tenant, name, ck, inputs[c.lo:c.hi])
-			if allFailed(res) && (len(res) > 1 || fullyKeyed(ck)) {
+			part := reqs[c.lo:c.hi]
+			res := m.runChunk(ctx, c.w, part)
+			if allFailed(res) && (len(res) > 1 || fullyKeyed(part)) {
 				// Brief jittered pause before rerouting: concurrent
 				// chunks failed by the same dead worker would otherwise
 				// re-snapshot and stampede the survivor in lockstep, and
@@ -487,7 +324,7 @@ func (m *Manager) invokeBatchKeyed(ctx context.Context, tenant, name string, key
 				// ran, and retrying onto one of those just fails again.
 				_, live := m.snapshot()
 				alt := pickSurvivor(live, c.w)
-				if alt == nil && fullyKeyed(ck) && contains(live, c.w) {
+				if alt == nil && fullyKeyed(part) && contains(live, c.w) {
 					// No other survivor, but the chunk is keyed and its
 					// worker is still registered: retry in place — safe
 					// under dedup, and exactly what recovers a response
@@ -496,7 +333,7 @@ func (m *Manager) invokeBatchKeyed(ctx context.Context, tenant, name string, key
 				}
 				if alt != nil {
 					c.w.rerouted.Add(1)
-					res = m.runChunk(ctx, alt, tenant, name, ck, inputs[c.lo:c.hi])
+					res = m.runChunk(ctx, alt, part)
 				}
 			}
 			copy(results[c.lo:c.hi], res)
@@ -506,56 +343,16 @@ func (m *Manager) invokeBatchKeyed(ctx context.Context, tenant, name string, key
 	return results
 }
 
-// runChunk drives one contiguous chunk on one worker, preferring the
-// batched interface, and returns the chunk's results. keys, when
-// non-nil, carries one idempotency key per request (parallel to
-// inputs); the per-request fallback drops keys on workers without the
-// keyed interface.
-func (m *Manager) runChunk(ctx context.Context, w *member, tenant, name string, keys []string, inputs []map[string][]memctx.Item) []core.BatchResult {
-	n := int64(len(inputs))
+// runChunk drives one contiguous chunk on one worker, accounting its
+// in-flight and failure gauges, and returns the chunk's results.
+func (m *Manager) runChunk(ctx context.Context, w *member, reqs []core.BatchRequest) []core.BatchResult {
+	n := int64(len(reqs))
 	w.inflight.Add(n)
 	w.total.Add(uint64(n))
 	defer w.inflight.Add(-n)
-	res := make([]core.BatchResult, len(inputs))
-	bn, batched := w.node.(BatchNode)
-	bcn, batchedCtx := w.node.(BatchCtxNode)
-	if batched || batchedCtx {
-		reqs := make([]core.BatchRequest, len(inputs))
-		for i := range inputs {
-			reqs[i] = core.BatchRequest{Composition: name, Tenant: tenant, Inputs: inputs[i]}
-			if keys != nil {
-				reqs[i].Key = keys[i]
-			}
-		}
-		var rs []core.BatchResult
-		if batchedCtx {
-			rs = bcn.InvokeBatchCtx(ctx, reqs)
-		} else {
-			rs = bn.InvokeBatch(reqs)
-		}
-		for i, r := range rs {
-			res[i] = r
-			if r.Err != nil {
-				w.failures.Add(1)
-			}
-		}
-		return res
-	}
-	kcn, keyedCtx := w.node.(KeyedCtxNode)
-	kn, keyed := w.node.(KeyedNode)
-	for i := range inputs {
-		var out map[string][]memctx.Item
-		var err error
-		switch {
-		case keyedCtx && keys != nil && keys[i] != "":
-			out, err = kcn.InvokeKeyedAsCtx(ctx, tenant, name, keys[i], inputs[i])
-		case keyed && keys != nil && keys[i] != "":
-			out, err = kn.InvokeKeyedAs(tenant, name, keys[i], inputs[i])
-		default:
-			out, err = invokeOnCtx(ctx, w.node, tenant, name, inputs[i])
-		}
-		res[i] = core.BatchResult{Outputs: out, Err: err}
-		if err != nil {
+	res := w.node.InvokeBatchCtx(ctx, reqs)
+	for _, r := range res {
+		if r.Err != nil {
 			w.failures.Add(1)
 		}
 	}
@@ -581,12 +378,12 @@ func (m *Manager) rerouteDelay(ctx context.Context) {
 // fullyKeyed reports whether every request of a chunk carries an
 // idempotency key — the precondition for retrying chunks the unkeyed
 // heuristic would not touch.
-func fullyKeyed(keys []string) bool {
-	if len(keys) == 0 {
+func fullyKeyed(reqs []core.BatchRequest) bool {
+	if len(reqs) == 0 {
 		return false
 	}
-	for _, k := range keys {
-		if k == "" {
+	for i := range reqs {
+		if reqs[i].Key == "" {
 			return false
 		}
 	}
@@ -659,7 +456,8 @@ type WorkerStats struct {
 	// "half-open"), empty for workers without a breaker (in-process
 	// platforms). BreakerTrips counts transitions to open, BreakerOpen
 	// calls fast-failed locally while open, and Retries in-place
-	// transport retries the worker's transport has issued.
+	// transport retries the worker's transport has issued; all three
+	// stay zero without a breaker.
 	Breaker      string `json:",omitempty"`
 	Retries      uint64
 	BreakerOpen  uint64
@@ -674,12 +472,10 @@ func workerStats(name string, w *member) WorkerStats {
 		Total: w.total.Load(), Failures: w.failures.Load(),
 		Rerouted: w.rerouted.Load(),
 	}
-	if rn, ok := w.node.(RetryNode); ok {
-		ws.Retries = rn.Retries()
-	}
 	if bn, ok := w.node.(BreakerNode); ok {
 		ws.Breaker = bn.BreakerState()
 		ws.BreakerTrips, ws.BreakerOpen = bn.BreakerCounters()
+		ws.Retries = bn.Retries()
 	}
 	return ws
 }
@@ -709,21 +505,17 @@ func (m *Manager) snapshot() ([]string, []*member) {
 }
 
 // SetTenantWeight fans a tenant's DRR dispatch weight out to every
-// registered worker implementing WeightNode and returns how many
-// applied it — the cluster-wide form of the control plane's weight
-// update, so one admin request reconfigures the whole fleet. Workers
-// registered mid-fan-out pick the weight up on the next update; the
-// scheduler clamps non-positive weights to 1 on every node.
+// registered worker and returns how many it reached — the cluster-wide
+// form of the control plane's weight update, so one admin request
+// reconfigures the whole fleet. Workers registered mid-fan-out pick the
+// weight up on the next update; the scheduler clamps non-positive
+// weights to 1 on every node.
 func (m *Manager) SetTenantWeight(tenant string, weight int) int {
 	_, members := m.snapshot()
-	applied := 0
 	for _, w := range members {
-		if wn, ok := w.node.(WeightNode); ok {
-			wn.SetTenantWeight(tenant, weight)
-			applied++
-		}
+		w.node.SetTenantWeight(tenant, weight)
 	}
-	return applied
+	return len(members)
 }
 
 // ClusterStats is the cluster-wide gauge snapshot AggregateStats
@@ -737,8 +529,7 @@ type ClusterStats struct {
 	// Workers is the number of registered workers when aggregation
 	// started; Reporting how many contributed a snapshot. StatsErrors
 	// names the workers whose NodeStats failed this round (skipped, not
-	// fatal); workers not implementing StatsNode are simply absent from
-	// both.
+	// fatal).
 	Workers     int
 	Reporting   int
 	StatsErrors []string `json:",omitempty"`
@@ -811,11 +602,7 @@ func (m *Manager) AggregateStats() ClusterStats {
 	}
 	var tenantLists [][]sched.TenantStats
 	for i, w := range members {
-		sn, ok := w.node.(StatsNode)
-		if !ok {
-			continue
-		}
-		st, err := sn.NodeStats()
+		st, err := w.node.NodeStats()
 		if err != nil {
 			cs.StatsErrors = append(cs.StatsErrors, names[i])
 			continue

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"sync/atomic"
@@ -12,15 +13,26 @@ import (
 	"dandelion/internal/sched"
 )
 
+// nodeBase gives test fakes the control-plane half of Node they do not
+// exercise: weight updates are dropped and the stats snapshot is empty.
+type nodeBase struct{}
+
+func (nodeBase) SetTenantWeight(string, int)    {}
+func (nodeBase) NodeStats() (core.Stats, error) { return core.Stats{}, nil }
+
+// fakeNode serves every request in-process, counting calls, batches,
+// and peak concurrency.
 type fakeNode struct {
-	calls    atomic.Int64
-	inflight atomic.Int64
-	peak     atomic.Int64
-	delay    time.Duration
-	fail     bool
+	nodeBase
+	calls      atomic.Int64
+	inflight   atomic.Int64
+	peak       atomic.Int64
+	batchCalls atomic.Int64
+	delay      time.Duration
+	fail       bool
 }
 
-func (f *fakeNode) Invoke(name string, in map[string][]memctx.Item) (map[string][]memctx.Item, error) {
+func (f *fakeNode) invoke(r core.BatchRequest) core.BatchResult {
 	f.calls.Add(1)
 	c := f.inflight.Add(1)
 	for {
@@ -34,14 +46,44 @@ func (f *fakeNode) Invoke(name string, in map[string][]memctx.Item) (map[string]
 	}
 	f.inflight.Add(-1)
 	if f.fail {
-		return nil, errors.New("boom")
+		return core.BatchResult{Err: errors.New("boom")}
 	}
-	return map[string][]memctx.Item{"Out": {{Name: "r", Data: []byte(name)}}}, nil
+	return core.BatchResult{Outputs: map[string][]memctx.Item{"Out": {{Name: "r", Data: []byte(r.Composition)}}}}
+}
+
+func (f *fakeNode) InvokeBatchCtx(_ context.Context, reqs []core.BatchRequest) []core.BatchResult {
+	f.batchCalls.Add(1)
+	out := make([]core.BatchResult, len(reqs))
+	for i, r := range reqs {
+		out[i] = f.invoke(r)
+	}
+	return out
+}
+
+// invokeOne routes one unkeyed single of composition name through m.
+func invokeOne(m *Manager, name string) error {
+	_, err := m.InvokeKeyedAsCtx(context.Background(), "", name, "", nil)
+	return err
+}
+
+// batchOf builds n one-item requests of composition comp under tenant.
+func batchOf(tenant, comp string, n int) []core.BatchRequest {
+	reqs := make([]core.BatchRequest, n)
+	for i := range reqs {
+		reqs[i] = core.BatchRequest{Composition: comp, Tenant: tenant,
+			Inputs: map[string][]memctx.Item{"In": {{Name: "x", Data: []byte{byte(i)}}}}}
+	}
+	return reqs
+}
+
+// invokeBatch routes batchOf(tenant, comp, n) through m.
+func invokeBatch(m *Manager, tenant, comp string, n int) []core.BatchResult {
+	return m.InvokeBatchCtx(context.Background(), batchOf(tenant, comp, n))
 }
 
 func TestNoWorkers(t *testing.T) {
 	m := NewManager(RoundRobin)
-	if _, err := m.Invoke("X", nil); !errors.Is(err, ErrNoWorkers) {
+	if err := invokeOne(m, "X"); !errors.Is(err, ErrNoWorkers) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -73,7 +115,7 @@ func TestRoundRobinSpreads(t *testing.T) {
 		m.Register(string(rune('a'+i)), n)
 	}
 	for i := 0; i < 30; i++ {
-		if _, err := m.Invoke("C", nil); err != nil {
+		if err := invokeOne(m, "C"); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -94,11 +136,11 @@ func TestLeastLoadedPrefersIdle(t *testing.T) {
 	var wg sync.WaitGroup
 	// Occupy "slow" with one long invocation, then fire more.
 	wg.Add(1)
-	go func() { defer wg.Done(); m.Invoke("C", nil) }()
+	go func() { defer wg.Done(); invokeOne(m, "C") }()
 	time.Sleep(5 * time.Millisecond)
 	for i := 0; i < 10; i++ {
 		wg.Add(1)
-		go func() { defer wg.Done(); m.Invoke("C", nil) }()
+		go func() { defer wg.Done(); invokeOne(m, "C") }()
 	}
 	wg.Wait()
 	if fast.calls.Load() < 9 {
@@ -115,7 +157,7 @@ func TestStatsAndFailures(t *testing.T) {
 	m.Register("bad", bad)
 	var failures int
 	for i := 0; i < 10; i++ {
-		if _, err := m.Invoke("C", nil); err != nil {
+		if err := invokeOne(m, "C"); err != nil {
 			failures++
 		}
 	}
@@ -152,7 +194,7 @@ func TestConcurrentInvocations(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := m.Invoke("C", nil); err != nil {
+			if err := invokeOne(m, "C"); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -168,39 +210,9 @@ func TestConcurrentInvocations(t *testing.T) {
 	}
 }
 
-// fakeBatchNode counts batched calls to verify the manager prefers the
-// BatchNode fast path over per-request Invoke.
-type fakeBatchNode struct {
-	fakeNode
-	batchCalls atomic.Int64
-	batchSizes []int
-	mu         sync.Mutex
-}
-
-func (f *fakeBatchNode) InvokeBatch(reqs []core.BatchRequest) []core.BatchResult {
-	f.batchCalls.Add(1)
-	f.mu.Lock()
-	f.batchSizes = append(f.batchSizes, len(reqs))
-	f.mu.Unlock()
-	out := make([]core.BatchResult, len(reqs))
-	for i, r := range reqs {
-		outs, err := f.Invoke(r.Composition, r.Inputs)
-		out[i] = core.BatchResult{Outputs: outs, Err: err}
-	}
-	return out
-}
-
-func batchInputs(n int) []map[string][]memctx.Item {
-	in := make([]map[string][]memctx.Item, n)
-	for i := range in {
-		in[i] = map[string][]memctx.Item{"In": {{Name: "x", Data: []byte{byte(i)}}}}
-	}
-	return in
-}
-
 func TestInvokeBatchNoWorkers(t *testing.T) {
 	m := NewManager(RoundRobin)
-	res := m.InvokeBatch("X", batchInputs(3))
+	res := invokeBatch(m, "", "X", 3)
 	for i, r := range res {
 		if !errors.Is(r.Err, ErrNoWorkers) {
 			t.Fatalf("result %d err = %v", i, r.Err)
@@ -210,20 +222,23 @@ func TestInvokeBatchNoWorkers(t *testing.T) {
 
 func TestInvokeBatchRoundRobinSplits(t *testing.T) {
 	m := NewManager(RoundRobin)
-	nodes := []*fakeBatchNode{{}, {}, {}}
+	nodes := []*fakeNode{{}, {}, {}}
 	for i, n := range nodes {
 		if err := m.Register(string(rune('a'+i)), n); err != nil {
 			t.Fatal(err)
 		}
 	}
-	res := m.InvokeBatch("C", batchInputs(9))
+	res := invokeBatch(m, "", "C", 9)
 	for i, r := range res {
 		if r.Err != nil {
 			t.Fatalf("result %d: %v", i, r.Err)
 		}
+		if string(r.Outputs["Out"][0].Data) != "C" {
+			t.Fatalf("result %d payload = %q", i, r.Outputs["Out"][0].Data)
+		}
 	}
-	// Every worker must have received exactly one chunk of 3 via the
-	// batched interface.
+	// Every worker must have received exactly one chunk of 3 in one
+	// call.
 	for i, n := range nodes {
 		if n.batchCalls.Load() != 1 {
 			t.Fatalf("node %d batchCalls = %d, want 1", i, n.batchCalls.Load())
@@ -236,7 +251,7 @@ func TestInvokeBatchRoundRobinSplits(t *testing.T) {
 
 func TestInvokeBatchLeastLoadedPicksIdleWorker(t *testing.T) {
 	m := NewManager(LeastLoaded)
-	busy, idle := &fakeBatchNode{}, &fakeBatchNode{}
+	busy, idle := &fakeNode{}, &fakeNode{}
 	if err := m.Register("busy", busy); err != nil {
 		t.Fatal(err)
 	}
@@ -249,10 +264,10 @@ func TestInvokeBatchLeastLoadedPicksIdleWorker(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		m.Invoke("C", batchInputs(1)[0])
+		invokeOne(m, "C")
 	}()
 	time.Sleep(20 * time.Millisecond) // let the slow call land on "busy"
-	res := m.InvokeBatch("C", batchInputs(4))
+	res := invokeBatch(m, "", "C", 4)
 	wg.Wait()
 	for i, r := range res {
 		if r.Err != nil {
@@ -265,34 +280,13 @@ func TestInvokeBatchLeastLoadedPicksIdleWorker(t *testing.T) {
 	}
 }
 
-func TestInvokeBatchFallsBackToInvoke(t *testing.T) {
-	// A plain Node without InvokeBatch must still serve batches.
-	m := NewManager(RoundRobin)
-	n := &fakeNode{}
-	if err := m.Register("plain", n); err != nil {
-		t.Fatal(err)
-	}
-	res := m.InvokeBatch("C", batchInputs(5))
-	for i, r := range res {
-		if r.Err != nil {
-			t.Fatalf("result %d: %v", i, r.Err)
-		}
-		if string(r.Outputs["Out"][0].Data) != "C" {
-			t.Fatalf("result %d payload = %q", i, r.Outputs["Out"][0].Data)
-		}
-	}
-	if n.calls.Load() != 5 {
-		t.Fatalf("fallback calls = %d, want 5", n.calls.Load())
-	}
-}
-
 func TestInvokeBatchCountsFailures(t *testing.T) {
 	m := NewManager(RoundRobin)
 	n := &fakeNode{fail: true}
 	if err := m.Register("w", n); err != nil {
 		t.Fatal(err)
 	}
-	res := m.InvokeBatch("C", batchInputs(3))
+	res := invokeBatch(m, "", "C", 3)
 	for i, r := range res {
 		if r.Err == nil {
 			t.Fatalf("result %d unexpectedly succeeded", i)
@@ -304,47 +298,46 @@ func TestInvokeBatchCountsFailures(t *testing.T) {
 	}
 }
 
-// fakeTenantNode records the tenant identities it was invoked under.
-type fakeTenantNode struct {
+// tenantNode records the tenant of every request it serves.
+type tenantNode struct {
 	fakeNode
 	mu      sync.Mutex
 	tenants []string
 }
 
-func (f *fakeTenantNode) InvokeAs(tenant, name string, in map[string][]memctx.Item) (map[string][]memctx.Item, error) {
+func (f *tenantNode) InvokeBatchCtx(ctx context.Context, reqs []core.BatchRequest) []core.BatchResult {
 	f.mu.Lock()
-	f.tenants = append(f.tenants, tenant)
+	for _, r := range reqs {
+		f.tenants = append(f.tenants, r.Tenant)
+	}
 	f.mu.Unlock()
-	return f.Invoke(name, in)
+	return f.fakeNode.InvokeBatchCtx(ctx, reqs)
 }
 
+// TestInvokeThreadsTenant: the tenant of a single and of every batch
+// request reaches the worker verbatim.
 func TestInvokeThreadsTenant(t *testing.T) {
 	m := NewManager(RoundRobin)
-	n := &fakeTenantNode{}
+	n := &tenantNode{}
 	if err := m.Register("w", n); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.InvokeAs("alice", "C", nil); err != nil {
+	if _, err := m.InvokeKeyedAsCtx(context.Background(), "alice", "C", "", nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Invoke("C", nil); err != nil {
-		t.Fatal(err)
-	}
-	if len(n.tenants) != 2 || n.tenants[0] != "alice" || n.tenants[1] != core.DefaultTenant {
+	invokeBatch(m, core.DefaultTenant, "C", 2)
+	if len(n.tenants) != 3 || n.tenants[0] != "alice" || n.tenants[1] != core.DefaultTenant || n.tenants[2] != core.DefaultTenant {
 		t.Fatalf("tenants seen = %v", n.tenants)
 	}
 }
 
-// failingBatchNode fails every request wholesale, like a dead worker.
-type failingBatchNode struct {
+// failingNode fails every request wholesale, like a dead worker.
+type failingNode struct {
+	nodeBase
 	batchCalls atomic.Int64
 }
 
-func (f *failingBatchNode) Invoke(name string, in map[string][]memctx.Item) (map[string][]memctx.Item, error) {
-	return nil, errors.New("node down")
-}
-
-func (f *failingBatchNode) InvokeBatch(reqs []core.BatchRequest) []core.BatchResult {
+func (f *failingNode) InvokeBatchCtx(_ context.Context, reqs []core.BatchRequest) []core.BatchResult {
 	f.batchCalls.Add(1)
 	out := make([]core.BatchResult, len(reqs))
 	for i := range out {
@@ -358,15 +351,15 @@ func (f *failingBatchNode) InvokeBatch(reqs []core.BatchRequest) []core.BatchRes
 // the chunk is re-queued on the surviving worker.
 func TestInvokeBatchReroutesFailedChunk(t *testing.T) {
 	m := NewManager(RoundRobin)
-	dead := &failingBatchNode{}
-	good := &fakeBatchNode{}
+	dead := &failingNode{}
+	good := &fakeNode{}
 	if err := m.Register("dead", dead); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Register("good", good); err != nil {
 		t.Fatal(err)
 	}
-	res := m.InvokeBatchAs("alice", "C", batchInputs(8))
+	res := invokeBatch(m, "alice", "C", 8)
 	for i, r := range res {
 		if r.Err != nil {
 			t.Fatalf("result %d not rerouted: %v", i, r.Err)
@@ -396,10 +389,10 @@ func TestInvokeBatchReroutesFailedChunk(t *testing.T) {
 // TestInvokeBatchKeepsPerRequestErrors: per-request application errors
 // (not a wholesale chunk failure) must NOT trigger re-routing.
 type halfFailNode struct {
-	fakeBatchNode
+	fakeNode
 }
 
-func (f *halfFailNode) InvokeBatch(reqs []core.BatchRequest) []core.BatchResult {
+func (f *halfFailNode) InvokeBatchCtx(_ context.Context, reqs []core.BatchRequest) []core.BatchResult {
 	out := make([]core.BatchResult, len(reqs))
 	for i := range reqs {
 		if i%2 == 0 {
@@ -415,7 +408,7 @@ func (f *halfFailNode) InvokeBatch(reqs []core.BatchRequest) []core.BatchResult 
 func TestInvokeBatchKeepsPerRequestErrors(t *testing.T) {
 	m := NewManager(LeastLoaded)
 	flaky := &halfFailNode{}
-	spare := &fakeBatchNode{}
+	spare := &fakeNode{}
 	if err := m.Register("flaky", flaky); err != nil {
 		t.Fatal(err)
 	}
@@ -424,7 +417,7 @@ func TestInvokeBatchKeepsPerRequestErrors(t *testing.T) {
 	}
 	// LeastLoaded sends the whole batch to one worker; half its requests
 	// fail with application errors, which must stand (no retry).
-	res := m.InvokeBatch("C", batchInputs(4))
+	res := invokeBatch(m, "", "C", 4)
 	errs := 0
 	for _, r := range res {
 		if r.Err != nil {
@@ -444,15 +437,15 @@ func TestInvokeBatchKeepsPerRequestErrors(t *testing.T) {
 // retried on another worker (blind retries duplicate side effects).
 func TestInvokeBatchNoRerouteForSingleRequestChunk(t *testing.T) {
 	m := NewManager(LeastLoaded)
-	dead := &failingBatchNode{}
-	spare := &fakeBatchNode{}
+	dead := &failingNode{}
+	spare := &fakeNode{}
 	if err := m.Register("dead", dead); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Register("spare", spare); err != nil {
 		t.Fatal(err)
 	}
-	res := m.InvokeBatch("C", batchInputs(1))
+	res := invokeBatch(m, "", "C", 1)
 	if res[0].Err == nil {
 		t.Fatal("single-request chunk was retried")
 	}
@@ -467,7 +460,7 @@ func TestInvokeBatchNoRerouteForSingleRequestChunk(t *testing.T) {
 	}
 }
 
-// statsFake is a Node + StatsNode whose snapshot is scripted: it can
+// statsFake is a Node whose stats snapshot is scripted: it can
 // report fixed gauges, error, or block until released — the shapes the
 // aggregation hardening is tested against.
 type statsFake struct {
@@ -490,8 +483,8 @@ func tstats(tenant string, weight int, completed uint64) []sched.TenantStats {
 	return []sched.TenantStats{{Tenant: tenant, Weight: weight, Completed: completed, Dispatched: completed}}
 }
 
-// TestAggregateStatsMergesWorkers: counters sum, per-tenant gauges
-// merge across workers, and workers without StatsNode are ignored.
+// TestAggregateStatsMergesWorkers: counters sum and per-tenant gauges
+// merge across workers; a worker with an empty snapshot adds nothing.
 func TestAggregateStatsMergesWorkers(t *testing.T) {
 	m := NewManager(RoundRobin)
 	w1 := &statsFake{stats: core.Stats{
@@ -502,15 +495,15 @@ func TestAggregateStatsMergesWorkers(t *testing.T) {
 		Invocations: 5, Batches: 1, ComputeEngines: 4, ComputeQueueLen: 1,
 		EngineResizes: 2, Tenants: tstats("alice", 2, 7),
 	}}
-	plain := &fakeNode{} // no StatsNode: routing only
+	plain := &fakeNode{} // empty stats snapshot
 	m.Register("w1", &w1.fakeNode)
-	m.Deregister("w1") // re-register the StatsNode-capable wrapper
+	m.Deregister("w1") // re-register the scripted-stats wrapper
 	m.Register("w1", w1)
 	m.Register("w2", w2)
 	m.Register("plain", plain)
 
 	cs := m.AggregateStats()
-	if cs.Workers != 3 || cs.Reporting != 2 || len(cs.StatsErrors) != 0 {
+	if cs.Workers != 3 || cs.Reporting != 3 || len(cs.StatsErrors) != 0 {
 		t.Fatalf("workers/reporting/errors = %d/%d/%v", cs.Workers, cs.Reporting, cs.StatsErrors)
 	}
 	if cs.Invocations != 15 || cs.Batches != 3 || cs.ComputeEngines != 6 ||
@@ -596,8 +589,7 @@ func TestAggregateStatsMidFlightDeregister(t *testing.T) {
 }
 
 // TestSetTenantWeightFanOut: the manager applies a weight update on
-// every WeightNode worker and reports the count; non-WeightNode workers
-// are skipped, not failed.
+// every worker and reports the count.
 func TestSetTenantWeightFanOut(t *testing.T) {
 	m := NewManager(RoundRobin)
 	w1, err := core.NewPlatform(core.Options{})
@@ -614,8 +606,8 @@ func TestSetTenantWeightFanOut(t *testing.T) {
 	m.Register("w2", w2)
 	m.Register("plain", &fakeNode{})
 
-	if n := m.SetTenantWeight("alice", 5); n != 2 {
-		t.Fatalf("fan-out applied to %d workers, want 2", n)
+	if n := m.SetTenantWeight("alice", 5); n != 3 {
+		t.Fatalf("fan-out applied to %d workers, want 3", n)
 	}
 	if w := w1.TenantWeight("alice"); w != 5 {
 		t.Fatalf("w1 weight = %d, want 5", w)

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"testing"
@@ -112,7 +113,7 @@ func TestTrackerJoinReplaces(t *testing.T) {
 	if got := len(m.Workers()); got != 1 {
 		t.Fatalf("workers = %d, want 1", got)
 	}
-	if _, err := m.Invoke("C", nil); err != nil {
+	if err := invokeOne(m, "C"); err != nil {
 		t.Fatal(err)
 	}
 	if old.calls.Load() != 0 || fresh.calls.Load() != 1 {
@@ -147,15 +148,15 @@ func TestTrackerSweepLoop(t *testing.T) {
 // deregisters another worker mid-batch — reproducing a worker that is
 // deregistered (or evicted) between a chunk starting and its retry.
 type sabotageNode struct {
-	failingBatchNode
+	failingNode
 	m      *Manager
 	victim string
 	once   sync.Once
 }
 
-func (s *sabotageNode) InvokeBatch(reqs []core.BatchRequest) []core.BatchResult {
+func (s *sabotageNode) InvokeBatchCtx(ctx context.Context, reqs []core.BatchRequest) []core.BatchResult {
 	s.once.Do(func() { s.m.Deregister(s.victim) })
-	return s.failingBatchNode.InvokeBatch(reqs)
+	return s.failingNode.InvokeBatchCtx(ctx, reqs)
 }
 
 // TestRerouteSkipsDeregisteredSurvivor is the stale-snapshot
@@ -166,8 +167,8 @@ func (s *sabotageNode) InvokeBatch(reqs []core.BatchRequest) []core.BatchResult 
 func TestRerouteSkipsDeregisteredSurvivor(t *testing.T) {
 	m := NewManager(LeastLoaded)
 	dying := &sabotageNode{m: m, victim: "stale"}
-	stale := &fakeBatchNode{}
-	live := &fakeBatchNode{}
+	stale := &fakeNode{}
+	live := &fakeNode{}
 	// Registration order makes "dying" the least-loaded pick for the
 	// whole batch and "stale" the survivor a stale snapshot would pick.
 	if err := m.Register("dying", dying); err != nil {
@@ -180,7 +181,7 @@ func TestRerouteSkipsDeregisteredSurvivor(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res := m.InvokeBatchAs("alice", "C", batchInputs(6))
+	res := invokeBatch(m, "alice", "C", 6)
 	for i, r := range res {
 		if r.Err != nil {
 			t.Fatalf("result %d not rerouted: %v", i, r.Err)

@@ -6,6 +6,7 @@
 package cluster
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"sync"
@@ -50,16 +51,13 @@ composition U(In) => Result {
 // first batch as a wholesale transport failure — the work ran, the
 // response was lost. What a worker looks like behind a flaky network.
 type lossyNode struct {
+	nodeBase
 	p     *core.Platform
 	drops atomic.Int32
 }
 
-func (l *lossyNode) Invoke(name string, in map[string][]memctx.Item) (map[string][]memctx.Item, error) {
-	return l.p.Invoke(name, in)
-}
-
-func (l *lossyNode) InvokeBatch(reqs []core.BatchRequest) []core.BatchResult {
-	res := l.p.InvokeBatch(reqs)
+func (l *lossyNode) InvokeBatchCtx(ctx context.Context, reqs []core.BatchRequest) []core.BatchResult {
+	res := l.p.InvokeBatchCtx(ctx, reqs)
 	if l.drops.Add(1) == 1 {
 		for i := range res {
 			res[i] = core.BatchResult{Err: errors.New("cluster: response lost")}
@@ -68,12 +66,15 @@ func (l *lossyNode) InvokeBatch(reqs []core.BatchRequest) []core.BatchResult {
 	return res
 }
 
-func keyedInputs(n int) []map[string][]memctx.Item {
-	in := make([]map[string][]memctx.Item, n)
-	for i := range in {
-		in[i] = map[string][]memctx.Item{"In": {{Name: "x", Data: []byte{'a' + byte(i)}}}}
+// upperBatch builds n unkeyed requests of the uppercase composition
+// under tenant alice, carrying the letters a, b, c, ...
+func upperBatch(n int) []core.BatchRequest {
+	reqs := make([]core.BatchRequest, n)
+	for i := range reqs {
+		reqs[i] = core.BatchRequest{Composition: "U", Tenant: "alice",
+			Inputs: map[string][]memctx.Item{"In": {{Name: "x", Data: []byte{'a' + byte(i)}}}}}
 	}
-	return in
+	return reqs
 }
 
 // TestKeyedSingleRequestRetrySameWorker: without keys a single-request
@@ -90,7 +91,7 @@ func TestKeyedSingleRequestRetrySameWorker(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res := m.InvokeBatchAs("alice", "U", keyedInputs(1))
+	res := m.InvokeBatchCtx(context.Background(), upperBatch(1))
 	if res[0].Err != nil {
 		t.Fatalf("keyed single-request chunk not recovered: %v", res[0].Err)
 	}
@@ -120,7 +121,7 @@ func TestUnkeyedSingleRequestStillNotRetried(t *testing.T) {
 	if err := m.Register("w1", &lossyNode{p: p}); err != nil {
 		t.Fatal(err)
 	}
-	res := m.InvokeBatchAs("alice", "U", keyedInputs(1))
+	res := m.InvokeBatchCtx(context.Background(), upperBatch(1))
 	if res[0].Err == nil {
 		t.Fatal("unkeyed single-request chunk was retried")
 	}
@@ -137,9 +138,9 @@ type keyedSabotageNode struct {
 	once   sync.Once
 }
 
-func (s *keyedSabotageNode) InvokeBatch(reqs []core.BatchRequest) []core.BatchResult {
+func (s *keyedSabotageNode) InvokeBatchCtx(ctx context.Context, reqs []core.BatchRequest) []core.BatchResult {
 	s.once.Do(func() { s.m.Deregister(s.victim) })
-	return s.lossyNode.InvokeBatch(reqs)
+	return s.lossyNode.InvokeBatchCtx(ctx, reqs)
 }
 
 // TestKeyedRerouteSkipsDeregisteredSurvivorDedups re-runs the PR-6
@@ -154,7 +155,7 @@ func TestKeyedRerouteSkipsDeregisteredSurvivorDedups(t *testing.T) {
 	m := NewManager(LeastLoaded)
 	m.EnableKeyedRetries("life1")
 	dying := &keyedSabotageNode{lossyNode: lossyNode{p: p}, m: m, victim: "stale"}
-	stale := &fakeBatchNode{}
+	stale := &fakeNode{}
 	live := &lossyNode{p: p}
 	live.drops.Store(1) // never drop: only "dying" loses its response
 	if err := m.Register("dying", dying); err != nil {
@@ -167,7 +168,7 @@ func TestKeyedRerouteSkipsDeregisteredSurvivorDedups(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res := m.InvokeBatchAs("alice", "U", keyedInputs(6))
+	res := m.InvokeBatchCtx(context.Background(), upperBatch(6))
 	for i, r := range res {
 		if r.Err != nil {
 			t.Fatalf("result %d not recovered: %v", i, r.Err)
@@ -185,75 +186,84 @@ func TestKeyedRerouteSkipsDeregisteredSurvivorDedups(t *testing.T) {
 	}
 }
 
-// TestInvokeBatchKeyedAsCallerKeys: caller-supplied keys flow through
-// to the workers' BatchRequests verbatim, mismatched lengths disable
-// keying rather than panicking, and partially keyed chunks keep the
-// multi-request-only retry heuristic.
+// TestInvokeBatchKeyedAsCallerKeys pins the minting rule under
+// EnableKeyedRetries: a call carrying any key reaches the worker
+// verbatim, empty entries included, and a call whose requests carry no
+// key gets minted chunk keys — without touching the caller's slice.
 func TestInvokeBatchKeyedAsCallerKeys(t *testing.T) {
-	var got []string
-	var mu sync.Mutex
-	n := &fakeBatchNode{}
-	rec := recordKeysNode{inner: n, keys: &got, mu: &mu}
+	rec := &recordKeysNode{}
 	m := NewManager(RoundRobin)
+	m.EnableKeyedRetries("life1")
 	if err := m.Register("w1", rec); err != nil {
 		t.Fatal(err)
 	}
-	res := m.InvokeBatchKeyedAs("alice", "U", []string{"k0", "", "k2"}, keyedInputs(3))
-	for i, r := range res {
-		if r.Err != nil {
-			t.Fatalf("result %d: %v", i, r.Err)
+	check := func(what string, reqs []core.BatchRequest, want []string) {
+		t.Helper()
+		for i, r := range m.InvokeBatchCtx(context.Background(), reqs) {
+			if r.Err != nil {
+				t.Fatalf("%s: result %d: %v", what, i, r.Err)
+			}
+		}
+		rec.mu.Lock()
+		got := rec.keys
+		rec.keys = nil
+		rec.mu.Unlock()
+		if len(got) != len(want) {
+			t.Fatalf("%s: worker saw keys %q, want %q", what, got, want)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: worker saw keys %q, want %q", what, got, want)
+			}
 		}
 	}
-	mu.Lock()
-	if len(got) != 3 || got[0] != "k0" || got[1] != "" || got[2] != "k2" {
-		mu.Unlock()
-		t.Fatalf("worker saw keys %v", got)
-	}
-	mu.Unlock()
-	// Length mismatch: keys dropped, batch still runs.
-	res = m.InvokeBatchKeyedAs("alice", "U", []string{"only-one"}, keyedInputs(2))
-	for i, r := range res {
-		if r.Err != nil {
-			t.Fatalf("mismatched-keys result %d: %v", i, r.Err)
+
+	caller := upperBatch(3)
+	caller[0].Key, caller[2].Key = "k0", "k2"
+	check("caller keys", caller, []string{"k0", "", "k2"})
+
+	unkeyed := upperBatch(2)
+	check("minted keys", unkeyed, []string{journal.ChunkKey("life1-1", 0), journal.ChunkKey("life1-1", 1)})
+	for i, r := range unkeyed {
+		if r.Key != "" {
+			t.Fatalf("caller's request %d mutated: key %q", i, r.Key)
 		}
 	}
 }
 
-// recordKeysNode records the keys its BatchRequests carry.
+// recordKeysNode records the keys its requests carry and answers each
+// with an empty success.
 type recordKeysNode struct {
-	inner *fakeBatchNode
-	keys  *[]string
-	mu    *sync.Mutex
+	nodeBase
+	mu   sync.Mutex
+	keys []string
 }
 
-func (r recordKeysNode) Invoke(name string, in map[string][]memctx.Item) (map[string][]memctx.Item, error) {
-	return r.inner.Invoke(name, in)
-}
-
-func (r recordKeysNode) InvokeBatch(reqs []core.BatchRequest) []core.BatchResult {
+func (r *recordKeysNode) InvokeBatchCtx(_ context.Context, reqs []core.BatchRequest) []core.BatchResult {
 	r.mu.Lock()
 	for _, q := range reqs {
-		*r.keys = append(*r.keys, q.Key)
+		r.keys = append(r.keys, q.Key)
 	}
 	r.mu.Unlock()
-	return r.inner.InvokeBatch(reqs)
+	return make([]core.BatchResult, len(reqs))
 }
 
-// TestManagerInvokeKeyedAs: single keyed invocations reach KeyedNode
-// workers with the key intact and dedup re-sends.
+// TestManagerInvokeKeyedAs: a keyed single reaches the worker with its
+// key intact, and the worker dedups the re-send.
 func TestManagerInvokeKeyedAs(t *testing.T) {
 	p := upperPlatform(t, core.Options{Journal: journal.NewMemory()})
 	m := NewManager(RoundRobin)
 	if err := m.Register("w1", p); err != nil {
 		t.Fatal(err)
 	}
+	ctx := context.Background()
 	in := map[string][]memctx.Item{"In": {{Name: "x", Data: []byte("hi")}}}
-	out, err := m.InvokeKeyedAs("alice", "U", "req-1", in)
+	out, err := m.InvokeKeyedAsCtx(ctx, "alice", "U", "req-1", in)
 	if err != nil || string(out["Result"][0].Data) != "HI" {
 		t.Fatalf("keyed invoke: %v %v", out, err)
 	}
 	// The re-send replays cached outputs without executing.
-	out, err = m.InvokeKeyedAs("alice", "U", "req-1", in)
+	out, err = m.InvokeKeyedAsCtx(ctx, "alice", "U", "req-1", in)
 	if err != nil || string(out["Result"][0].Data) != "HI" {
 		t.Fatalf("keyed re-send: %v %v", out, err)
 	}

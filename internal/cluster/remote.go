@@ -1,7 +1,8 @@
 // Remote worker transport: the HTTP client side of the cluster layer.
 // RemoteNode makes a worker running behind internal/frontend look like
-// any other Node to the Manager — invocations, batches, tenant-weight
-// fan-out, and stats aggregation travel the frontend's wire protocol
+// any other Node to the Manager — batches (a single travels as a
+// one-request batch), tenant-weight fan-out, and stats aggregation
+// travel the frontend's wire protocol
 // (internal/wire): batches in the length-prefixed binary framing once
 // the worker proves it speaks it, JSON against binary-unaware workers
 // (see docs/WIRE.md for the negotiation) — and Heartbeater is the loop a
@@ -29,7 +30,6 @@ import (
 	"time"
 
 	"dandelion/internal/core"
-	"dandelion/internal/memctx"
 	"dandelion/internal/wire"
 )
 
@@ -78,7 +78,7 @@ type RemoteOptions struct {
 	Token string
 	// MaxRetries bounds in-place retries of transport failures (zero
 	// selects 2; negative disables). Only idempotent requests retry:
-	// GETs, PUTs, and invocations/batches where every request carries an
+	// GETs, PUTs, and batch groups where every request carries an
 	// idempotency key — the worker's dedup table absorbs a re-execution,
 	// the PR-8 semantics unkeyed work does not get. Each retry backs off
 	// exponentially from RetryBase with ±50% jitter and respects the
@@ -101,12 +101,12 @@ type RemoteOptions struct {
 }
 
 // RemoteNode is an HTTP client for one worker frontend, implementing
-// Node, TenantNode, BatchNode, WeightNode, and StatsNode against the
-// worker's /invoke, /invoke-batch, /admin/tenants/{name}, and /stats
-// routes. A Manager routes to it exactly as it routes to an in-process
-// *core.Platform; transport failures surface as ErrRemote-wrapped
-// per-request errors, which is what trips the manager's wholesale-
-// failure reroute heuristic when a worker dies mid-batch.
+// Node and BreakerNode against the worker's /invoke-batch,
+// /admin/tenants/{name}, and /stats routes. A Manager routes to it
+// exactly as it routes to an in-process *core.Platform; transport
+// failures surface as ErrRemote-wrapped per-request errors, which is
+// what trips the manager's wholesale-failure reroute heuristic when a
+// worker dies mid-batch.
 type RemoteNode struct {
 	base   string
 	token  string
@@ -133,7 +133,7 @@ type RemoteNode struct {
 	wireMode atomic.Int32
 
 	// ctlErrs counts control-plane calls (SetTenantWeight) that failed
-	// on the wire; the WeightNode interface has no error return, so the
+	// on the wire; Node.SetTenantWeight has no error return, so the
 	// counter is the only trace.
 	ctlErrs atomic.Uint64
 
@@ -203,7 +203,7 @@ func (rn *RemoteNode) URL() string { return rn.base }
 // the wire.
 func (rn *RemoteNode) ControlErrors() uint64 { return rn.ctlErrs.Load() }
 
-// Retries reports in-place transport retries issued (RetryNode).
+// Retries reports in-place transport retries issued (BreakerNode).
 func (rn *RemoteNode) Retries() uint64 { return rn.retries.Load() }
 
 // BreakerState reports the worker breaker's routing-visible state
@@ -251,29 +251,30 @@ func (rn *RemoteNode) backoff(ctx context.Context, attempt int) bool {
 	}
 }
 
-// do issues one request (with in-place retries when idempotent) and
-// returns the response body for 2xx statuses; other statuses are
-// decoded as the frontend's {"error": ...} body and returned as an
-// error (ErrRemote-wrapped only when the failure is transport-shaped,
-// i.e. not an application error the worker reported). Transport
-// outcomes feed the circuit breaker; while it is open, calls fast-fail
-// with ErrBreakerOpen.
-func (rn *RemoteNode) do(ctx context.Context, method, path, tenant string, body []byte, idempotent bool) ([]byte, error) {
+// do issues one control-plane request (GET or PUT: idempotent, so the
+// retry budget applies) and returns the response body for 2xx
+// statuses; other statuses are decoded as the frontend's
+// {"error": ...} body and returned as an error (ErrRemote-wrapped only
+// when the failure is transport-shaped, i.e. not an application error
+// the worker reported). Transport outcomes feed the circuit breaker;
+// while it is open, calls fast-fail with ErrBreakerOpen.
+func (rn *RemoteNode) do(method, path string, body []byte) ([]byte, error) {
+	ctx := context.Background()
 	var payload []byte
 	var err error
 	for attempt := 0; ; attempt++ {
-		payload, err = rn.doOnce(ctx, method, path, tenant, body)
+		payload, err = rn.doOnce(ctx, method, path, body)
 		if err == nil || !errors.Is(err, ErrRemote) {
 			return payload, err
 		}
-		if !idempotent || attempt >= rn.maxRetries || !rn.backoff(ctx, attempt+1) {
+		if attempt >= rn.maxRetries || !rn.backoff(ctx, attempt+1) {
 			return payload, err
 		}
 		rn.retries.Add(1)
 	}
 }
 
-func (rn *RemoteNode) doOnce(ctx context.Context, method, path, tenant string, body []byte) ([]byte, error) {
+func (rn *RemoteNode) doOnce(ctx context.Context, method, path string, body []byte) ([]byte, error) {
 	if !rn.brk.allow() {
 		return nil, fmt.Errorf("%w: %w: %s", ErrRemote, ErrBreakerOpen, rn.base)
 	}
@@ -282,10 +283,6 @@ func (rn *RemoteNode) doOnce(ctx context.Context, method, path, tenant string, b
 		return nil, fmt.Errorf("%w: %v", ErrRemote, err)
 	}
 	req.Header.Set("Content-Type", "application/json")
-	setDeadlineHeader(req, ctx)
-	if tenant != "" {
-		req.Header.Set(tenantHeader, tenant)
-	}
 	if rn.token != "" {
 		req.Header.Set(adminTokenHeader, rn.token)
 	}
@@ -318,9 +315,10 @@ func (rn *RemoteNode) doOnce(ctx context.Context, method, path, tenant string, b
 	return payload, nil
 }
 
-// doStream issues one request with explicit framing headers and hands
-// back the open response for streaming decode (the caller closes it).
-// Non-2xx statuses are drained and mapped exactly as in do. body is a
+// doStream issues one invocation request with explicit framing headers
+// and hands back the open response for streaming decode (the caller
+// closes it); it retries in place only when idempotent. Non-2xx
+// statuses are drained and mapped exactly as in do. body is a
 // factory rather than a reader so idempotent requests can replay their
 // payload on retry.
 func (rn *RemoteNode) doStream(ctx context.Context, method, path, tenant string, body func() io.Reader, contentType, accept string, idempotent bool) (*http.Response, error) {
@@ -379,68 +377,15 @@ func (rn *RemoteNode) doStreamOnce(ctx context.Context, method, path, tenant str
 	return resp, nil
 }
 
-// Invoke routes one invocation to the worker under the default tenant.
-func (rn *RemoteNode) Invoke(name string, inputs map[string][]memctx.Item) (map[string][]memctx.Item, error) {
-	return rn.InvokeAsCtx(context.Background(), core.DefaultTenant, name, inputs)
-}
-
-// InvokeAs routes one invocation to the worker under a tenant identity,
-// using the frontend's full-fidelity JSON invoke mode (every input set
-// travels; the full output-set map comes back).
-func (rn *RemoteNode) InvokeAs(tenant, name string, inputs map[string][]memctx.Item) (map[string][]memctx.Item, error) {
-	return rn.InvokeKeyedAsCtx(context.Background(), tenant, name, "", inputs)
-}
-
-// InvokeAsCtx is InvokeAs under a caller context: the request carries
-// the context (cancelling it aborts the call) and its remaining budget
-// as X-Deadline-Ms, so the worker inherits the deadline.
-func (rn *RemoteNode) InvokeAsCtx(ctx context.Context, tenant, name string, inputs map[string][]memctx.Item) (map[string][]memctx.Item, error) {
-	return rn.InvokeKeyedAsCtx(ctx, tenant, name, "", inputs)
-}
-
-// InvokeKeyedAs routes one idempotency-keyed invocation: the key
-// travels in the JSON body's key field (the same field the batch wire
-// shape uses), so a re-send after a lost response is answered from the
-// worker's completed-key dedup table instead of re-executing.
-func (rn *RemoteNode) InvokeKeyedAs(tenant, name, key string, inputs map[string][]memctx.Item) (map[string][]memctx.Item, error) {
-	return rn.InvokeKeyedAsCtx(context.Background(), tenant, name, key, inputs)
-}
-
-// InvokeKeyedAsCtx is InvokeKeyedAs under a caller context (see
-// InvokeAsCtx). Keyed invocations are retry-eligible: the worker's
-// dedup table absorbs a re-execution, so a transport failure is retried
-// in place before surfacing.
-func (rn *RemoteNode) InvokeKeyedAsCtx(ctx context.Context, tenant, name, key string, inputs map[string][]memctx.Item) (map[string][]memctx.Item, error) {
-	body, err := json.Marshal(wire.BatchRequest{Inputs: wire.FromSets(inputs), Key: key})
-	if err != nil {
-		return nil, fmt.Errorf("%w: encoding request: %v", ErrRemote, err)
-	}
-	payload, err := rn.do(ctx, http.MethodPost, "/invoke/"+url.PathEscape(name), tenant, body, key != "")
-	if err != nil {
-		return nil, err
-	}
-	var res wire.BatchResult
-	if err := json.Unmarshal(payload, &res); err != nil {
-		return nil, fmt.Errorf("%w: decoding response: %v", ErrRemote, err)
-	}
-	if res.Error != "" {
-		return nil, errors.New(res.Error)
-	}
-	return wire.ToSets(res.Outputs), nil
-}
-
-// InvokeBatch routes a batch to the worker's /invoke-batch route.
-// Requests are grouped into maximal runs sharing one composition and
-// tenant (the manager always sends uniform chunks, so this is one POST
-// per call); each group fails or succeeds per request, and a transport
-// failure errors every request of its group — the all-failed signature
-// the manager's reroute heuristic keys on.
-func (rn *RemoteNode) InvokeBatch(reqs []core.BatchRequest) []core.BatchResult {
-	return rn.InvokeBatchCtx(context.Background(), reqs)
-}
-
-// InvokeBatchCtx is InvokeBatch under a caller context (see
-// InvokeAsCtx). Fully-keyed groups are retry-eligible in place.
+// InvokeBatchCtx routes a batch to the worker's /invoke-batch route
+// under a caller context: the request carries the context (cancelling
+// it aborts the call) and its remaining budget as X-Deadline-Ms, so the
+// worker inherits the deadline. Requests are grouped into maximal runs
+// sharing one composition and tenant (the manager always sends uniform
+// chunks, so this is one POST per call); each group fails or succeeds
+// per request, and a transport failure errors every request of its
+// group — the all-failed signature the manager's reroute heuristic
+// keys on. Fully-keyed groups are retry-eligible in place.
 func (rn *RemoteNode) InvokeBatchCtx(ctx context.Context, reqs []core.BatchRequest) []core.BatchResult {
 	results := make([]core.BatchResult, len(reqs))
 	for lo := 0; lo < len(reqs); {
@@ -588,7 +533,7 @@ func (rn *RemoteNode) invokeBatchGroup(ctx context.Context, reqs []core.BatchReq
 }
 
 // SetTenantWeight fans one tenant-weight update to the worker's admin
-// surface. The WeightNode interface has no error return; wire failures
+// surface. Node.SetTenantWeight has no error return; wire failures
 // are counted in ControlErrors.
 func (rn *RemoteNode) SetTenantWeight(tenant string, weight int) {
 	body, err := json.Marshal(map[string]int{"weight": weight})
@@ -596,16 +541,15 @@ func (rn *RemoteNode) SetTenantWeight(tenant string, weight int) {
 		rn.ctlErrs.Add(1)
 		return
 	}
-	// PUT is idempotent, so the retry budget applies.
-	if _, err := rn.do(context.Background(), http.MethodPut, "/admin/tenants/"+url.PathEscape(tenant), "", body, true); err != nil {
+	if _, err := rn.do(http.MethodPut, "/admin/tenants/"+url.PathEscape(tenant), body); err != nil {
 		rn.ctlErrs.Add(1)
 	}
 }
 
 // NodeStats fetches the worker's gauge snapshot from GET /stats, the
-// remote StatsNode proxy that lets AggregateStats span machines.
+// remote stats proxy that lets AggregateStats span machines.
 func (rn *RemoteNode) NodeStats() (core.Stats, error) {
-	payload, err := rn.do(context.Background(), http.MethodGet, "/stats", "", nil, true)
+	payload, err := rn.do(http.MethodGet, "/stats", nil)
 	if err != nil {
 		return core.Stats{}, err
 	}

@@ -45,11 +45,18 @@ composition E(In) => Result {
 	return p, srv
 }
 
+// invokeOne sends one request as a one-request batch — the shape a
+// coordinator single takes on the wire.
+func invokeOne(rn *cluster.RemoteNode, tenant, name string, inputs map[string][]dandelion.Item) (map[string][]dandelion.Item, error) {
+	res := rn.InvokeBatchCtx(context.Background(), []dandelion.BatchRequest{{Composition: name, Tenant: tenant, Inputs: inputs}})
+	return res[0].Outputs, res[0].Err
+}
+
 func TestRemoteNodeInvoke(t *testing.T) {
 	p, srv := newWorker(t, "")
 	rn := cluster.NewRemoteNode(srv.URL, cluster.RemoteOptions{})
 
-	out, err := rn.InvokeAs("alice", "E", map[string][]dandelion.Item{
+	out, err := invokeOne(rn, "alice", "E", map[string][]dandelion.Item{
 		"In": {{Name: "x", Data: []byte("over the wire")}},
 	})
 	if err != nil {
@@ -71,7 +78,7 @@ func TestRemoteNodeInvoke(t *testing.T) {
 		t.Fatalf("tenant alice not accounted on the worker: %+v", p.Stats().Tenants)
 	}
 
-	if _, err := rn.Invoke("Ghost", nil); err == nil {
+	if _, err := invokeOne(rn, "", "Ghost", nil); err == nil {
 		t.Fatal("unknown composition must error")
 	} else if errors.Is(err, cluster.ErrRemote) {
 		t.Fatalf("application rejection mis-tagged as transport error: %v", err)
@@ -91,7 +98,7 @@ func TestRemoteNodeInvokeBatch(t *testing.T) {
 	}
 	reqs[4] = dandelion.BatchRequest{Composition: "Ghost", Tenant: "bob"}
 
-	res := rn.InvokeBatch(reqs)
+	res := rn.InvokeBatchCtx(context.Background(), reqs)
 	if len(res) != 5 {
 		t.Fatalf("got %d results", len(res))
 	}
@@ -113,7 +120,7 @@ func TestRemoteNodeTransportFailure(t *testing.T) {
 	rn := cluster.NewRemoteNode(srv.URL, cluster.RemoteOptions{})
 	srv.Close()
 
-	res := rn.InvokeBatch([]dandelion.BatchRequest{
+	res := rn.InvokeBatchCtx(context.Background(), []dandelion.BatchRequest{
 		{Composition: "E"}, {Composition: "E"},
 	})
 	for i, r := range res {
@@ -130,7 +137,7 @@ func TestRemoteNodeStatsAndWeight(t *testing.T) {
 	p, srv := newWorker(t, "sesame")
 	rn := cluster.NewRemoteNode(srv.URL, cluster.RemoteOptions{Token: "sesame"})
 
-	if _, err := rn.Invoke("E", map[string][]dandelion.Item{
+	if _, err := invokeOne(rn, "", "E", map[string][]dandelion.Item{
 		"In": {{Name: "x", Data: []byte("hi")}},
 	}); err != nil {
 		t.Fatal(err)
@@ -237,7 +244,7 @@ func TestRemoteNodeBinaryNegotiation(t *testing.T) {
 			Inputs:      map[string][]dandelion.Item{"In": {{Name: "x", Data: []byte(payload)}}},
 		}}
 	}
-	res := rn.InvokeBatch(mkBatch("probe"))
+	res := rn.InvokeBatchCtx(context.Background(), mkBatch("probe"))
 	if res[0].Err != nil {
 		t.Fatalf("probe batch: %v", res[0].Err)
 	}
@@ -249,7 +256,7 @@ func TestRemoteNodeBinaryNegotiation(t *testing.T) {
 	}
 
 	// Second batch travels the binary framing; results still decode.
-	res = rn.InvokeBatch(mkBatch("framed"))
+	res = rn.InvokeBatchCtx(context.Background(), mkBatch("framed"))
 	if res[0].Err != nil {
 		t.Fatalf("binary batch: %v", res[0].Err)
 	}
@@ -279,7 +286,7 @@ func TestRemoteNodeJSONFallback(t *testing.T) {
 
 	rn := cluster.NewRemoteNode(stub.URL, cluster.RemoteOptions{})
 	for i := 0; i < 2; i++ {
-		res := rn.InvokeBatch([]dandelion.BatchRequest{{
+		res := rn.InvokeBatchCtx(context.Background(), []dandelion.BatchRequest{{
 			Composition: "E",
 			Inputs:      map[string][]dandelion.Item{"In": {{Name: "x", Data: []byte("legacy")}}},
 		}})

@@ -103,7 +103,7 @@ func (p *Platform) EngineResizes() uint64 {
 // Options.Autoscale); tests drive StepOnce through it.
 func (p *Platform) Elasticity() *ctlplane.Elasticity { return p.elastic }
 
-// NodeStats adapts Stats to the cluster manager's StatsNode interface;
+// NodeStats adapts Stats to the cluster manager's Node interface;
 // an in-process platform snapshot cannot fail, so the error is always
 // nil (remote node proxies are where it earns its keep).
 func (p *Platform) NodeStats() (Stats, error) { return p.Stats(), nil }

@@ -3,12 +3,12 @@ package experiments
 import (
 	"fmt"
 
+	"dandelion/internal/arrivals"
 	"dandelion/internal/autoscale"
 	"dandelion/internal/faas"
 	"dandelion/internal/isolation"
 	"dandelion/internal/sim"
 	"dandelion/internal/trace"
-	"dandelion/internal/workload"
 )
 
 // Seed fixed across drivers for reproducibility.
@@ -266,9 +266,9 @@ func Fig8(quick bool) Table {
 	if quick {
 		steps = 40
 	}
-	patterns := [2]workload.Pattern{
-		workload.Bursty(40, 140, steps, 25, 6),
-		workload.Bursty(40, 180, steps, 18, 6),
+	patterns := [2]arrivals.Pattern{
+		arrivals.Bursty(40, 140, steps, 25, 6),
+		arrivals.Bursty(40, 180, steps, 18, 6),
 	}
 	systems := []struct {
 		name string

@@ -12,8 +12,8 @@
 package faas
 
 import (
+	"dandelion/internal/arrivals"
 	"dandelion/internal/sim"
-	"dandelion/internal/workload"
 )
 
 // App describes one application's per-request work, the knobs the
@@ -77,12 +77,12 @@ type Platform interface {
 
 // Sweep drives an open-loop Poisson arrival process at each RPS for
 // durationS seconds and collects a SweepPoint per rate.
-func Sweep(mk func(eng *sim.Engine) Platform, app App, rpsList []float64, durationS float64, seed int64) []workload.SweepPoint {
-	points := make([]workload.SweepPoint, 0, len(rpsList))
+func Sweep(mk func(eng *sim.Engine) Platform, app App, rpsList []float64, durationS float64, seed int64) []arrivals.SweepPoint {
+	points := make([]arrivals.SweepPoint, 0, len(rpsList))
 	for _, rps := range rpsList {
 		eng := sim.NewEngine(seed)
 		p := mk(eng)
-		rec := workload.NewRecorder()
+		rec := arrivals.NewRecorder()
 		offered := 0
 		inHorizon := 0
 		eng.ExpArrivals(rps, sim.Time(durationS), func(int) {
@@ -101,7 +101,7 @@ func Sweep(mk func(eng *sim.Engine) Platform, app App, rpsList []float64, durati
 		// Run past the horizon so in-flight requests drain, but bound
 		// the drain so a saturated system still terminates.
 		eng.Run(sim.Time(durationS + 30))
-		points = append(points, workload.SweepPoint{
+		points = append(points, arrivals.SweepPoint{
 			RPS:          rps,
 			Summary:      rec.Latency.Summarize(),
 			ColdFraction: rec.ColdFraction(),

@@ -3,11 +3,11 @@ package faas
 import (
 	"testing"
 
+	"dandelion/internal/arrivals"
 	"dandelion/internal/autoscale"
 	"dandelion/internal/isolation"
 	"dandelion/internal/sim"
 	"dandelion/internal/trace"
-	"dandelion/internal/workload"
 )
 
 func mkDandelion(cfg DandelionConfig) func(*sim.Engine) Platform {
@@ -233,9 +233,9 @@ func TestPhasesScaling(t *testing.T) {
 
 func TestMultiplexFig8Shapes(t *testing.T) {
 	apps := [2]App{ImageCompression(), LogProcessing()}
-	patterns := [2]workload.Pattern{
-		workload.Bursty(40, 120, 60, 20, 5),
-		workload.Bursty(40, 160, 60, 15, 5),
+	patterns := [2]arrivals.Pattern{
+		arrivals.Bursty(40, 120, 60, 20, 5),
+		arrivals.Bursty(40, 160, 60, 15, 5),
 	}
 	dCfg := DandelionConfig{Cores: 16, Profile: isolation.X86KVM, Cached: true, Balance: true}
 	d := RunMultiplex(mkDandelion(dCfg), apps, patterns, 1)

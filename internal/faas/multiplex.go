@@ -1,9 +1,9 @@
 package faas
 
 import (
+	"dandelion/internal/arrivals"
 	"dandelion/internal/sim"
 	"dandelion/internal/stats"
-	"dandelion/internal/workload"
 )
 
 // UnloadedLatency measures a single request's end-to-end latency on an
@@ -38,13 +38,13 @@ type MultiplexResult struct {
 
 // RunMultiplex drives two applications with bursty arrival patterns on
 // one platform (Figure 8) and reports per-app latency statistics.
-func RunMultiplex(mk func(*sim.Engine) Platform, apps [2]App, patterns [2]workload.Pattern, seed int64) [2]MultiplexResult {
+func RunMultiplex(mk func(*sim.Engine) Platform, apps [2]App, patterns [2]arrivals.Pattern, seed int64) [2]MultiplexResult {
 	eng := sim.NewEngine(seed)
 	p := mk(eng)
-	recs := [2]*workload.Recorder{workload.NewRecorder(), workload.NewRecorder()}
+	recs := [2]*arrivals.Recorder{arrivals.NewRecorder(), arrivals.NewRecorder()}
 	for i := 0; i < 2; i++ {
 		i := i
-		workload.GeneratePattern(eng, patterns[i], func(int) {
+		arrivals.GeneratePattern(eng, patterns[i], func(int) {
 			p.Submit(apps[i], func(lat float64, cold bool) { recs[i].Record(lat, cold) })
 		})
 	}

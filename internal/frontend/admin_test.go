@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"dandelion"
 	"dandelion/internal/autoscale"
@@ -331,6 +332,18 @@ composition E(In) => Result {
 				"In": {{Name: "i", Data: []byte("x")}},
 			}); err != nil {
 				t.Fatal(err)
+			}
+		}
+		// The scheduler books a task's completion just after its result
+		// is delivered, so InvokeAs can return a moment before alice's
+		// Completed gauge counts it: wait for the books to close.
+		for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+			running := 0
+			for _, ts := range w.Stats().Tenants {
+				running += ts.Running
+			}
+			if running == 0 {
+				break
 			}
 		}
 	}

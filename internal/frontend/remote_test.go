@@ -110,8 +110,8 @@ composition E(In) => Result {
 	}
 }
 
-// TestInvokeJSONMode round-trips the full-fidelity JSON mode that
-// RemoteNode rides on: many-set inputs in, all output sets back.
+// TestInvokeJSONMode round-trips the full-fidelity JSON mode:
+// many-set inputs in, all output sets back.
 func TestInvokeJSONMode(t *testing.T) {
 	_, srv := newServer(t)
 	registerEcho(t, srv.URL)
@@ -286,5 +286,40 @@ func TestCoordinatorRoutesViaCluster(t *testing.T) {
 	code, body = post(t, coord.URL+"/invoke/Ghost?input=In", nil, []byte("x"))
 	if code == 200 {
 		t.Fatalf("invoke of unknown composition succeeded: %q", body)
+	}
+}
+
+// TestCoordinatorSingleTravelsAsBatch: a coordinator single reaches its
+// worker as a one-request batch (the worker's Batches gauge rises), and
+// a re-sent keyed single is answered from the worker's dedup table
+// instead of executing again.
+func TestCoordinatorSingleTravelsAsBatch(t *testing.T) {
+	tr, coord := newCoordinator(t, "")
+	wp, worker := newServer(t)
+	registerEcho(t, worker.URL)
+	if err := tr.Join("w1", cluster.NewRemoteNode(worker.URL, cluster.RemoteOptions{})); err != nil {
+		t.Fatal(err)
+	}
+
+	before := wp.Stats()
+	code, body := post(t, coord.URL+"/invoke/E?input=In", nil, []byte("one"))
+	if code != 200 || body != "one" {
+		t.Fatalf("single via coordinator: %d %q", code, body)
+	}
+	after := wp.Stats()
+	if got := after.Batches - before.Batches; got != 1 {
+		t.Fatalf("worker Batches rose by %d, want 1 (single sent as a batch)", got)
+	}
+
+	keyed := map[string]string{IdempotencyKeyHeader: "single-1"}
+	for i := 0; i < 2; i++ {
+		code, body := post(t, coord.URL+"/invoke/E?input=In", keyed, []byte("keyed"))
+		if code != 200 || body != "keyed" {
+			t.Fatalf("keyed single %d via coordinator: %d %q", i, code, body)
+		}
+	}
+	st := wp.Stats()
+	if inv, hits := st.Invocations-after.Invocations, st.DedupHits-after.DedupHits; inv != 1 || hits != 1 {
+		t.Fatalf("keyed re-send: invocations=%d dedup hits=%d, want 1/1", inv, hits)
 	}
 }

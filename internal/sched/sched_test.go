@@ -249,6 +249,18 @@ func TestConcurrentSubmitWithPool(t *testing.T) {
 	if executed.Load() != tenants*perTenant {
 		t.Fatalf("executed = %d", executed.Load())
 	}
+	// The scheduler books a completion (Running down, Completed up) only
+	// after the task body returns, so done.Wait() can return just before
+	// the last few are booked: wait for the books to close, not longer.
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		var completed uint64
+		for _, st := range s.Stats() {
+			completed += st.Completed
+		}
+		if completed == tenants*perTenant {
+			break
+		}
+	}
 	var total uint64
 	for _, st := range s.Stats() {
 		if st.Queued != 0 || st.Running != 0 {
