@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci build vet test race bench bench-smoke fuzz-smoke bench-baseline e2e-cluster e2e-journal e2e-chaos e2e-mixed docs-check perfbench-check
+.PHONY: ci build vet test race bench bench-smoke fuzz-smoke bench-baseline e2e-cluster e2e-journal e2e-chaos e2e-mixed docs-check perfbench-check netlines
 
 # ci is the tier-1 gate: everything must build, vet clean, pass under
 # the race detector, keep the batched dispatch path alive (bench-smoke
@@ -105,3 +105,10 @@ docs-check:
 # the harness unseen.
 perfbench-check:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
+# netlines reports added, removed and net Go lines against BASE (default
+# HEAD, i.e. the uncommitted change), split into non-test and test Go
+# (scripts/netlines.sh). Simplicity changes quote its net figures.
+BASE ?= HEAD
+netlines:
+	sh scripts/netlines.sh $(BASE)

@@ -34,6 +34,7 @@
 package dandelion
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 	"os"
@@ -131,11 +132,10 @@ type Options struct {
 	// ComputeEngines and CommEngines size the initial engine pools.
 	ComputeEngines int
 	CommEngines    int
-	// CacheBinaries keeps decoded function binaries in memory.
+	// Deprecated: decoded programs are always cached; this field has no effect.
 	CacheBinaries bool
 	// ZeroCopy hands statement outputs off between memory contexts
-	// (ownership moves) instead of cloning them, on both the single
-	// Invoke and the batched InvokeBatch data paths. Functions must
+	// (ownership moves) instead of cloning them. Functions must
 	// treat their input items as immutable when this is on: payloads
 	// may be shared with other instances. The /stats counters
 	// ZeroCopyHandoffs and ZeroCopyHandoffBytes report what it saves.
@@ -181,9 +181,38 @@ type Options struct {
 	JournalDir string
 }
 
-// Platform is one Dandelion worker node.
+// Platform is one Dandelion worker node. Its two invoke methods,
+// InvokeKeyedAsCtx (one request) and InvokeBatchCtx, come from the
+// embedded core platform; Invoke, InvokeAs, InvokeKeyedAs and
+// InvokeBatch are shorthands for them without a caller context.
 type Platform struct {
 	*core.Platform
+}
+
+// Invoke runs a registered composition with the given input items
+// under DefaultTenant and returns its output sets keyed by output name.
+func (p *Platform) Invoke(name string, inputs map[string][]Item) (map[string][]Item, error) {
+	return p.InvokeAs(DefaultTenant, name, inputs)
+}
+
+// InvokeAs runs a registered composition under a tenant identity: every
+// engine dispatch it causes is scheduled in that tenant's DRR share and
+// accounted in its gauges. An empty tenant means DefaultTenant.
+func (p *Platform) InvokeAs(tenant, name string, inputs map[string][]Item) (map[string][]Item, error) {
+	return p.InvokeKeyedAs(tenant, name, "", inputs)
+}
+
+// InvokeKeyedAs runs a composition under an idempotency key; see
+// InvokeKeyedAsCtx for the deduplication rules. An empty key runs
+// unkeyed.
+func (p *Platform) InvokeKeyedAs(tenant, name, key string, inputs map[string][]Item) (map[string][]Item, error) {
+	return p.InvokeKeyedAsCtx(context.Background(), tenant, name, key, inputs)
+}
+
+// InvokeBatch runs a batch of composition requests and returns one
+// result per request in request order; see InvokeBatchCtx.
+func (p *Platform) InvokeBatch(reqs []BatchRequest) []BatchResult {
+	return p.InvokeBatchCtx(context.Background(), reqs)
 }
 
 // New builds a worker node with the HTTP communication function
@@ -212,7 +241,6 @@ func New(opts Options) (*Platform, error) {
 		Backend:        backend,
 		ComputeEngines: opts.ComputeEngines,
 		CommEngines:    opts.CommEngines,
-		CacheBinaries:  opts.CacheBinaries,
 		ZeroCopy:       opts.ZeroCopy,
 		Balance:        opts.Balance,
 		TenantWeights:  opts.TenantWeights,

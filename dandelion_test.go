@@ -75,7 +75,7 @@ func TestBackendsListed(t *testing.T) {
 
 func TestDvmFunctionOnAllBackends(t *testing.T) {
 	for _, b := range dandelion.Backends() {
-		p := newPlatform(t, dandelion.Options{Backend: b, CacheBinaries: true})
+		p := newPlatform(t, dandelion.Options{Backend: b})
 		if err := p.RegisterFunction(dandelion.ComputeFunc{
 			Name:       "Echo",
 			Binary:     dvm.EchoProgram().Encode(),

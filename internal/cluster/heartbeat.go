@@ -4,7 +4,7 @@
 // Heartbeat, and are evicted from the manager once they miss the
 // configured number of beats. Eviction is what makes the manager's
 // mid-batch reroute complete: a failed chunk re-snapshots live
-// membership before retrying (see InvokeBatchAs), so chunks in flight
+// membership before retrying (see InvokeBatchCtx), so chunks in flight
 // on a dying worker flow onto survivors instead of retrying into the
 // corpse. Evicted workers are reported in ClusterStats — never silently
 // dropped — until they re-join.

@@ -1,43 +1,47 @@
-// Batched invocation path. InvokeBatch admits N composition requests in
-// one call and drives them through the composition DAG together: at each
-// statement, the compute-function instances of every request in the
-// batch are gathered, split into per-engine chunks, and each chunk runs
-// back-to-back on one compute engine against a single reused memory
-// context and a shared decoded program from the hash-keyed binary cache.
-// Compared with N independent Invoke calls this removes per-instance
-// queue round trips, context allocations, and binary decodes — the hot
-// path the serving harness in internal/loadgen measures.
+// The composition executor. Every invocation — a single from
+// InvokeKeyedAsCtx, a batch from InvokeBatchCtx, a nested composition
+// from a statement — runs through one path: requests naming the same
+// composition under the same tenant form a group, and runGroup drives
+// the group through the composition DAG together. At each statement
+// the instances of every live request are gathered into one work list;
+// compute instances are split into per-engine chunks, and each chunk
+// runs back-to-back on one compute engine against a single reused
+// memory context and a shared decoded program from the hash-keyed
+// binary cache. A single is a one-request group: one instance becomes
+// one chunk, so it costs one engine dispatch and one pooled context.
 //
-// Under Options.ZeroCopy the batch data plane also stops copying
-// payloads between statements: a chunk's per-statement output sets are
-// handed off out of the producing context (memctx.TakeOutputs, the
-// dispatcher-mediated form of memctx.HandoffOutput) into the per-request
-// value store, and the consuming statement's instances adopt them
-// (memctx.AdoptInputSet) without cloning — including across chunk
-// boundaries, when the producing and consuming chunks run on different
-// engines. Ownership tracking in memctx guarantees a handed-off set is
-// never re-read from or re-released by its producer. With ZeroCopy off,
-// every one of those boundaries is a clone (the paper's default copying
-// path); see docs/ARCHITECTURE.md for the full data-path map.
+// Under Options.ZeroCopy the data plane also stops copying payloads
+// between statements: a chunk's per-statement output sets are handed
+// off out of the producing context (memctx.TakeOutputs, the
+// dispatcher-mediated form of memctx.HandoffOutput) into the
+// per-request value store, and the consuming statement's instances
+// adopt them (memctx.AdoptInputSet) without cloning — including across
+// chunk boundaries, when the producing and consuming chunks run on
+// different engines. Ownership tracking in memctx guarantees a
+// handed-off set is never re-read from or re-released by its producer.
+// With ZeroCopy off, every one of those boundaries is a clone (the
+// paper's default copying path); see docs/ARCHITECTURE.md for the full
+// data-path map.
 package core
 
 import (
 	"context"
 	"crypto/sha256"
 	"fmt"
+	"slices"
 	"sync"
+	"time"
 
 	"dandelion/internal/dvm"
+	"dandelion/internal/graph"
 	"dandelion/internal/memctx"
 	"dandelion/internal/sched"
 )
 
-// programCache maps binary content addresses to decoded DVM programs.
-// It generalizes Options.CacheBinaries: the option pins the decoded
-// program to the registered function for the single-invoke path, while
-// the cache itself is keyed by content hash so identical binaries —
-// however many names they are registered under — decode exactly once,
-// and the batch path can reuse programs unconditionally. The hash is
+// programCache maps binary content addresses to decoded DVM programs
+// (§7.4's "cached" binaries; decoded programs are always cached). It is
+// keyed by content hash so identical binaries — however many names
+// they are registered under — decode exactly once. The hash is
 // computed once, at registration (registeredFunc.progKey); lookups here
 // never re-hash a binary, so the cache costs a map read on the hot
 // path instead of a sha256 over the whole program.
@@ -85,7 +89,7 @@ type BatchRequest struct {
 	Composition string
 	// Tenant is the identity the request is scheduled under; empty
 	// means DefaultTenant. Requests of different tenants may share one
-	// InvokeBatch call — they are grouped and accounted separately.
+	// InvokeBatchCtx call — they are grouped and accounted separately.
 	Tenant string
 	// Inputs maps the composition's input names to items.
 	Inputs map[string][]memctx.Item
@@ -115,19 +119,15 @@ type BatchResult struct {
 	Err     error
 }
 
-// InvokeBatch runs a batch of composition requests, returning one
+// InvokeBatchCtx runs a batch of composition requests, returning one
 // result per request in request order. Requests naming the same
-// composition under the same tenant execute together through the
-// batched dispatch path; distinct groups proceed concurrently, each
-// scheduled in its tenant's DRR share.
-func (p *Platform) InvokeBatch(reqs []BatchRequest) []BatchResult {
-	return p.InvokeBatchCtx(context.Background(), reqs)
-}
-
-// InvokeBatchCtx is InvokeBatch under a caller context: the deadline
-// rides on every chunk dispatch (expired chunks are dropped unexecuted
-// by the scheduling plane) and cancellation stops new statements.
-// Deadline-class per-request failures tick Stats.TimedOut.
+// composition under the same tenant execute together as one group;
+// distinct groups proceed concurrently, each scheduled in its tenant's
+// DRR share. The context's deadline rides on every engine dispatch
+// (expired work is dropped unexecuted by the scheduling plane) and
+// cancellation stops new statements. Each call counts once in
+// Stats.Batches; deadline-class per-request failures tick
+// Stats.TimedOut.
 func (p *Platform) InvokeBatchCtx(ctx context.Context, reqs []BatchRequest) []BatchResult {
 	results := make([]BatchResult, len(reqs))
 	if len(reqs) == 0 {
@@ -140,98 +140,126 @@ func (p *Platform) InvokeBatchCtx(ctx context.Context, reqs []BatchRequest) []Ba
 		return results
 	}
 	p.ctrs.shard().batches.Add(1)
+	p.execute(ctx, reqs, results)
+	return results
+}
 
-	// Resolve keyed requests against the dedup table first: duplicates
-	// are answered in place (kb.skip masks them out of execution),
-	// fresh keys are reserved and journaled. Unkeyed batches (kb ==
-	// nil) pay nothing here.
+// InvokeKeyedAsCtx runs one composition request: tenant empty means
+// DefaultTenant, key empty runs unkeyed, and a non-empty key
+// deduplicates like BatchRequest.Key — a key that already completed
+// answers from the dedup table (cached outputs, or ErrDuplicate when
+// only the journaled digest survives) without re-executing, a key
+// still executing answers ErrInFlight, and a failed execution releases
+// its key so a retry may re-execute. It is a one-request InvokeBatchCtx
+// that does not count in Stats.Batches.
+func (p *Platform) InvokeKeyedAsCtx(ctx context.Context, tenant, name, key string, inputs map[string][]memctx.Item) (map[string][]memctx.Item, error) {
+	if p.draining.Load() {
+		return nil, ErrDraining
+	}
+	results := make([]BatchResult, 1)
+	p.execute(ctx, []BatchRequest{{Composition: name, Tenant: tenant, Key: key, Inputs: inputs}}, results)
+	return results[0].Outputs, results[0].Err
+}
+
+// reqGroup is the requests of one call that name the same composition
+// under the same tenant: they run through the executor together.
+type reqGroup struct {
+	tenant string
+	pl     *compPlan
+	idxs   []int
+}
+
+// execute runs reqs to completion, filling results. Compositions are
+// resolved first, so a request naming an unknown composition fails
+// before its key is reserved or journaled; keyed requests are then
+// resolved against the dedup table (duplicates are answered in place),
+// every group runs through runGroup, and executed keys are settled.
+func (p *Platform) execute(ctx context.Context, reqs []BatchRequest, results []BatchResult) {
+	groups := p.groupRequests(reqs, results)
 	kb := p.beginKeyedBatch(reqs, results)
-
-	// Group request indices by (composition, tenant), preserving
-	// first-seen order. Tenant is part of the key so one group's chunk
-	// tasks are attributable to exactly one tenant's dispatch share.
-	type groupKey struct{ comp, tenant string }
-	groups := map[groupKey][]int{}
-	var order []groupKey
-	for i, r := range reqs {
-		if kb != nil && kb.skip[i] {
-			continue
-		}
-		key := groupKey{comp: r.Composition, tenant: r.Tenant}
-		if key.tenant == "" {
-			key.tenant = DefaultTenant
-		}
-		if _, ok := groups[key]; !ok {
-			order = append(order, key)
-		}
-		groups[key] = append(groups[key], i)
-	}
-
-	var wg sync.WaitGroup
-	for _, key := range order {
-		idxs := groups[key]
-		comp, err := p.reg.composition(key.comp)
-		if err != nil {
-			for _, i := range idxs {
-				results[i].Err = err
+	fanOut(len(groups), func(gi int) {
+		g := &groups[gi]
+		if kb != nil {
+			g.idxs = slices.DeleteFunc(g.idxs, func(i int) bool { return kb.skip[i] })
+			if len(g.idxs) == 0 {
+				return
 			}
-			continue
 		}
-		p.ctrs.shard().invocations.Add(uint64(len(idxs)))
-		wg.Add(1)
-		go func(tenant string, pl *compPlan, idxs []int) {
-			defer wg.Done()
-			inputs := make([]map[string][]memctx.Item, len(idxs))
-			var borrows []*memctx.Region
-			for k, i := range idxs {
-				inputs[k] = reqs[i].Inputs
-				if reqs[i].Borrow != nil && borrows == nil {
-					borrows = make([]*memctx.Region, len(idxs))
+		p.ctrs.shard().invocations.Add(uint64(len(g.idxs)))
+		inputs := make([]map[string][]memctx.Item, len(g.idxs))
+		var borrows []*memctx.Region
+		for k, i := range g.idxs {
+			inputs[k] = reqs[i].Inputs
+			if b := reqs[i].Borrow; b != nil {
+				if borrows == nil {
+					borrows = make([]*memctx.Region, len(g.idxs))
 				}
+				borrows[k] = b
 			}
-			if borrows != nil {
-				for k, i := range idxs {
-					borrows[k] = reqs[i].Borrow
-				}
-			}
-			outs, errs := p.invokeBatch(ctx, tenant, pl, inputs, borrows)
-			for k, i := range idxs {
-				results[i].Outputs, results[i].Err = outs[k], errs[k]
-			}
-		}(key.tenant, p.planFor(comp), idxs)
-	}
-	wg.Wait()
+		}
+		outs, errs := p.runGroup(ctx, g.tenant, g.pl, inputs, borrows, 0)
+		for k, i := range g.idxs {
+			results[i].Outputs, results[i].Err = outs[k], errs[k]
+		}
+	})
 	if kb != nil {
 		p.finishKeyedBatch(kb, reqs, results)
 	}
 	for i := range results {
 		p.noteTimeout(results[i].Err)
 	}
-	return results
 }
 
-// InvokeBatchAs runs a batch under one tenant identity, overriding any
-// per-request Tenant fields — the server-side entry point for a batch
-// admitted from a single tenant's connection.
-func (p *Platform) InvokeBatchAs(tenant string, reqs []BatchRequest) []BatchResult {
-	return p.InvokeBatchAsCtx(context.Background(), tenant, reqs)
-}
-
-// InvokeBatchAsCtx is InvokeBatchAs under a caller context (see
-// InvokeBatchCtx).
-func (p *Platform) InvokeBatchAsCtx(ctx context.Context, tenant string, reqs []BatchRequest) []BatchResult {
-	if tenant == "" {
-		tenant = DefaultTenant
+// groupRequests partitions reqs by (composition, tenant), preserving
+// first-seen order, and resolves each group's plan. Tenant is part of
+// the key so a group's engine tasks are attributable to exactly one
+// tenant's dispatch share. A request naming an unknown composition
+// gets its error in results and joins no group.
+func (p *Platform) groupRequests(reqs []BatchRequest, results []BatchResult) []reqGroup {
+	type groupKey struct{ comp, tenant string }
+	var groups []reqGroup
+	index := map[groupKey]int{}
+	for i := range reqs {
+		key := groupKey{comp: reqs[i].Composition, tenant: tenantOrDefault(reqs[i].Tenant)}
+		if gi, ok := index[key]; ok {
+			groups[gi].idxs = append(groups[gi].idxs, i)
+			continue
+		}
+		comp, err := p.reg.composition(key.comp)
+		if err != nil {
+			results[i].Err = err
+			continue
+		}
+		index[key] = len(groups)
+		groups = append(groups, reqGroup{tenant: key.tenant, pl: p.planFor(comp), idxs: []int{i}})
 	}
-	tagged := make([]BatchRequest, len(reqs))
-	for i, r := range reqs {
-		r.Tenant = tenant
-		tagged[i] = r
-	}
-	return p.InvokeBatchCtx(ctx, tagged)
+	return groups
 }
 
-// batchState tracks the per-request dataflow of one composition group.
+// fanOut calls fn(0) .. fn(n-1) concurrently and waits for all of
+// them: n-1 goroutines, with the last call made on the caller's own
+// goroutine (so a single call costs no goroutine at all).
+func fanOut(n int, fn func(i int)) {
+	switch n {
+	case 0:
+		return
+	case 1:
+		fn(0)
+		return
+	}
+	var wg sync.WaitGroup
+	wg.Add(n - 1)
+	for i := 0; i < n-1; i++ {
+		go func() {
+			defer wg.Done()
+			fn(i)
+		}()
+	}
+	fn(n - 1)
+	wg.Wait()
+}
+
+// batchState tracks the per-request dataflow of one group.
 type batchState struct {
 	stores []*valueStore
 	// borrows, when non-nil, carries each request's wire-memory lease
@@ -242,7 +270,7 @@ type batchState struct {
 	errs    []error
 }
 
-// borrow returns request r's lease, nil when the batch carries none.
+// borrow returns request r's lease, nil when the group carries none.
 func (b *batchState) borrow(r int) *memctx.Region {
 	if b.borrows == nil {
 		return nil
@@ -258,12 +286,6 @@ func (b *batchState) fail(r int, err error) {
 	}
 }
 
-func (b *batchState) failed(r int) bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.errs[r] != nil
-}
-
 // live returns the requests that have not failed yet.
 func (b *batchState) live() []int {
 	b.mu.Lock()
@@ -277,15 +299,26 @@ func (b *batchState) live() []int {
 	return out
 }
 
-// invokeBatch mirrors invoke for a group of requests running the same
-// composition under one tenant: one goroutine per statement (shared
-// across the group, honoring DAG dependencies), with compute statements
-// executed through the chunked batch path. Orchestration state — deps,
+// runGroup is the composition executor: it runs a group of requests of
+// the same composition under one tenant, at nesting depth depth. One
+// goroutine per statement is shared by the whole group and honors the
+// DAG dependencies; each statement runs the instances of every live
+// request together (runStatement). Orchestration state — deps,
 // vertices, programs, error labels — comes precompiled from the plan.
-func (p *Platform) invokeBatch(ctx context.Context, tenant string, pl *compPlan, inputs []map[string][]memctx.Item, borrows []*memctx.Region) ([]map[string][]memctx.Item, []error) {
+// A nested composition re-enters runGroup at depth+1, so the depth
+// limit is checked here and nowhere else.
+func (p *Platform) runGroup(ctx context.Context, tenant string, pl *compPlan, inputs []map[string][]memctx.Item, borrows []*memctx.Region, depth int) ([]map[string][]memctx.Item, []error) {
 	comp := pl.comp
 	n := len(inputs)
+	outs := make([]map[string][]memctx.Item, n)
 	st := &batchState{stores: make([]*valueStore, n), borrows: borrows, errs: make([]error, n)}
+	if depth >= p.opts.MaxDepth {
+		err := fmt.Errorf("%w (%d)", ErrTooDeep, p.opts.MaxDepth)
+		for r := range st.errs {
+			st.errs[r] = err
+		}
+		return outs, st.errs
+	}
 	defer func() {
 		for _, s := range st.stores {
 			putValueStore(s)
@@ -307,22 +340,14 @@ func (p *Platform) invokeBatch(ctx context.Context, tenant string, pl *compPlan,
 	for i := range done {
 		done[i] = make(chan struct{})
 	}
-	var wg sync.WaitGroup
-	for i := range comp.Stmts {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer close(done[i])
-			for _, d := range pl.deps[i] {
-				<-done[d]
-			}
-			p.runStatementBatch(ctx, tenant, pl, i, st)
-		}()
-	}
-	wg.Wait()
+	fanOut(len(comp.Stmts), func(i int) {
+		defer close(done[i])
+		for _, d := range pl.deps[i] {
+			<-done[d]
+		}
+		p.runStatement(ctx, tenant, &pl.stmts[i], st, depth)
+	})
 
-	outs := make([]map[string][]memctx.Item, n)
 	for r := 0; r < n; r++ {
 		if st.errs[r] != nil {
 			continue
@@ -336,7 +361,7 @@ func (p *Platform) invokeBatch(ctx context.Context, tenant string, pl *compPlan,
 	return outs, st.errs
 }
 
-// batchItem is one function instance within a batched statement.
+// batchItem is one function instance within a statement's work list.
 type batchItem struct {
 	req    int
 	inst   instance
@@ -357,8 +382,8 @@ func instanceBytes(inst instance) int64 {
 	return n
 }
 
-// batchItemsPool recycles the flat per-statement work lists the batch
-// path gathers (one entry per live instance, rebuilt at every
+// batchItemsPool recycles the flat per-statement work lists the
+// executor gathers (one entry per live instance, rebuilt at every
 // statement). Entries are cleared before a list returns to the pool so
 // recycled backing arrays never pin instance inputs or harvested
 // outputs, and lists grown past maxPooledBatchItems by one huge batch
@@ -367,13 +392,15 @@ var batchItemsPool = sync.Pool{New: func() any { return new([]batchItem) }}
 
 const maxPooledBatchItems = 4096
 
-// runStatementBatch executes one statement for every live request in
-// the group. Compute functions take the chunked batch path; everything
-// else (communication functions, nested compositions) falls back to the
-// per-request dispatcher logic.
-func (p *Platform) runStatementBatch(ctx context.Context, tenant string, pl *compPlan, si int, bst *batchState) {
-	sp := &pl.stmts[si]
-	st := *sp.st
+// runStatement executes one statement for every live request in the
+// group. It gathers each request's arguments, applies the skip rule
+// (§4.4: a non-optional argument with zero items suppresses execution
+// and defines empty outputs), expands the instances per the edge
+// modes into one flat work list, runs the list on the vertex's kind of
+// engine, and merges each request's outputs in instance order under
+// its Ret bindings.
+func (p *Platform) runStatement(ctx context.Context, tenant string, sp *stmtPlan, bst *batchState, depth int) {
+	st := sp.st
 	live := bst.live()
 	if len(live) == 0 {
 		return
@@ -392,37 +419,17 @@ func (p *Platform) runStatementBatch(ctx context.Context, tenant string, pl *com
 		}
 		return
 	}
-	deadline, _ := ctx.Deadline()
 
-	if v.fn == nil {
-		// Communication function or nested composition: reuse the
-		// per-request statement path (comm instances still flow through
-		// the communication engines' queue; nested compositions
-		// orchestrate inline on dispatcher goroutines).
-		var wg sync.WaitGroup
-		for _, r := range live {
-			r := r
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				if err := p.runStatement(ctx, tenant, sp, bst.stores[r], 0); err != nil {
-					bst.fail(r, wrap(err))
-				}
-			}()
-		}
-		wg.Wait()
-		return
-	}
-
-	// Compute path (v.fn != nil past this point, so no comm-function
-	// gather clone to worry about): gather every live request's
-	// instances into one flat work list (recycled through
-	// batchItemsPool). The gather aliases the store's items in both
-	// data-plane modes: under ZeroCopy the instances adopt the
+	// The gather aliases the store's items for compute functions and
+	// nested compositions: under ZeroCopy their instances adopt the
 	// producer's handed-off buffers, and on the copying path each
 	// instance's one value-semantics clone happens at the context
 	// boundary (AddInputSet), so cloning here as well would be a second
-	// copy.
+	// copy. Communication functions have no memory context, so on the
+	// copying path their one clone is paid here instead (under ZeroCopy
+	// they receive aliases and must not mutate them, per the CommFunc
+	// contract).
+	cloneGather := v.comm != nil && !p.opts.ZeroCopy
 	itemsBuf := batchItemsPool.Get().(*[]batchItem)
 	items := (*itemsBuf)[:0]
 	defer func() {
@@ -433,13 +440,12 @@ func (p *Platform) runStatementBatch(ctx context.Context, tenant string, pl *com
 		*itemsBuf = items[:0]
 		batchItemsPool.Put(itemsBuf)
 	}()
-	perReq := map[int][]int{}
 	var totalBytes int64
 	for _, r := range live {
 		argItems := make([][]memctx.Item, len(st.Args))
 		skip := false
 		for ai, a := range st.Args {
-			argItems[ai] = bst.stores[r].get(a.Value, false)
+			argItems[ai] = bst.stores[r].get(a.Value, cloneGather)
 			if len(argItems[ai]) == 0 && !a.Optional {
 				skip = true
 			}
@@ -458,7 +464,6 @@ func (p *Platform) runStatementBatch(ctx context.Context, tenant string, pl *com
 			continue
 		}
 		for _, inst := range insts {
-			perReq[r] = append(perReq[r], len(items))
 			b := instanceBytes(inst)
 			totalBytes += b
 			items = append(items, batchItem{req: r, inst: inst, borrow: bst.borrow(r), bytes: b})
@@ -468,84 +473,37 @@ func (p *Platform) runStatementBatch(ctx context.Context, tenant string, pl *com
 		return
 	}
 
-	// The decoded program comes precompiled from the plan (resolved by
-	// content address at registration — no per-statement hashing); only
-	// a plan built before the function registered resolves it here.
-	prepared := sp.batchProg
-	if prepared == nil && v.fn.Binary != nil {
-		prepared, err = p.programs.getByKey(v.fn.progKey, v.fn.Binary)
-		if err != nil {
-			for _, r := range live {
-				bst.fail(r, wrap(err))
-			}
-			return
-		}
+	// The context deadline rides along on every engine dispatch; zero
+	// (no deadline) costs the scheduler a single IsZero check.
+	deadline, _ := ctx.Deadline()
+	switch {
+	case v.fn != nil:
+		p.runComputeItems(ctx, tenant, sp, v.fn, items, totalBytes, deadline)
+	case v.comm != nil:
+		p.runCommItems(ctx, tenant, v.comm, items, deadline)
+	default:
+		p.runNestedItems(ctx, tenant, v.comp, items, depth)
 	}
 
-	// Split the work list into contiguous chunks and run each chunk to
-	// completion on a single engine. Solo tenants get one chunk per
-	// compute engine (maximum per-chunk amortization of the reused
-	// context); a tenant contending for the engines gets chunks sized
-	// down by its DRR share, so the scheduler can interleave other
-	// tenants' work between its chunks and dispatch-wait tails tighten.
-	// Both the chunk count and the split boundaries are byte-aware: the
-	// count grows so no chunk carries more than ~chunkByteTarget of
-	// payload, and boundaries balance cumulative bytes rather than item
-	// count, so one 1 MiB instance weighs as much as thousands of tiny
-	// ones and an engine never serializes a byte-heavy chunk while its
-	// peers idle over light ones.
-	chunks := p.schedAwareChunks(tenant, len(items), totalBytes)
-	bounds := chunkBoundsByBytes(items, chunks, totalBytes)
-	var wg sync.WaitGroup
-	for c := 0; c < chunks; c++ {
-		lo, hi := bounds[c], bounds[c+1]
-		seg := items[lo:hi]
-		var segBytes int64
-		for i := range seg {
-			segBytes += seg[i].bytes
+	// Per request (its instances are contiguous in the work list):
+	// surface the first instance error, or merge outputs in instance
+	// order under each Ret binding.
+	for lo := 0; lo < len(items); {
+		r := items[lo].req
+		hi := lo + 1
+		for hi < len(items) && items[hi].req == r {
+			hi++
 		}
-		wg.Add(1)
-		task := sched.Task{
-			DoSharded: func(shard int) {
-				defer wg.Done()
-				p.runComputeChunk(v.fn, prepared, seg, shard)
-			},
-			OnReject: func(err error) {
-				for i := range seg {
-					seg[i].err = err
-				}
-				wg.Done()
-			},
-			Deadline: deadline,
-			Bytes:    segBytes,
-		}
-		if err := p.computeSched.Submit(tenant, task); err != nil {
-			for i := range seg {
-				seg[i].err = err
-			}
-			wg.Done()
-		}
-	}
-	wg.Wait()
-
-	// Per request: surface the first instance error, or merge outputs
-	// in instance order under each Ret binding (matching runStatement).
-	for r, idxs := range perReq {
-		var failed bool
-		for _, ii := range idxs {
-			if items[ii].err != nil {
-				bst.fail(r, wrap(items[ii].err))
-				failed = true
-				break
-			}
-		}
-		if failed {
+		reqItems := items[lo:hi]
+		lo = hi
+		if err := firstItemErr(reqItems); err != nil {
+			bst.fail(r, wrap(err))
 			continue
 		}
 		for _, ret := range st.Rets {
 			var merged []memctx.Item
-			for _, ii := range idxs {
-				for _, s := range items[ii].outs {
+			for i := range reqItems {
+				for _, s := range reqItems[i].outs {
 					if s.Name == ret.Set {
 						merged = append(merged, s.Items...)
 					}
@@ -553,6 +511,144 @@ func (p *Platform) runStatementBatch(ctx context.Context, tenant string, pl *com
 			}
 			bst.stores[r].set(ret.Value, merged)
 		}
+	}
+}
+
+// firstItemErr returns the first instance error in instance order.
+func firstItemErr(items []batchItem) error {
+	for i := range items {
+		if items[i].err != nil {
+			return items[i].err
+		}
+	}
+	return nil
+}
+
+// runComputeItems runs a compute statement's work list. The list is
+// split into contiguous chunks and each chunk runs to completion on a
+// single compute engine against one reused memory context and the
+// statement's decoded program.
+//
+// Solo tenants get one chunk per compute engine (maximum per-chunk
+// amortization of the reused context); a tenant contending for the
+// engines gets chunks sized down by its DRR share, so the scheduler can
+// interleave other tenants' work between its chunks and dispatch-wait
+// tails tighten. Both the chunk count and the split boundaries are
+// byte-aware: the count grows so no chunk carries more than
+// ~chunkByteTarget of payload, and boundaries balance cumulative bytes
+// rather than item count, so one 1 MiB instance weighs as much as
+// thousands of tiny ones and an engine never serializes a byte-heavy
+// chunk while its peers idle over light ones.
+func (p *Platform) runComputeItems(ctx context.Context, tenant string, sp *stmtPlan, f *registeredFunc, items []batchItem, totalBytes int64, deadline time.Time) {
+	// The decoded program comes precompiled from the plan (resolved by
+	// content address at registration — no per-statement hashing); only
+	// a plan built before the function registered resolves it here.
+	prog := sp.batchProg
+	if prog == nil && f.Binary != nil {
+		var err error
+		if prog, err = p.programs.getByKey(f.progKey, f.Binary); err != nil {
+			for i := range items {
+				items[i].err = err
+			}
+			return
+		}
+	}
+	chunks := p.schedAwareChunks(tenant, len(items), totalBytes)
+	bounds := chunkBoundsByBytes(items, chunks, totalBytes)
+	var wg sync.WaitGroup
+	for c := 0; c < chunks; c++ {
+		seg := items[bounds[c]:bounds[c+1]]
+		var segBytes int64
+		for i := range seg {
+			segBytes += seg[i].bytes
+		}
+		reject := func(err error) {
+			for i := range seg {
+				seg[i].err = err
+			}
+			wg.Done()
+		}
+		wg.Add(1)
+		task := sched.Task{
+			DoSharded: func(shard int) {
+				defer wg.Done()
+				p.runComputeChunk(ctx, f, prog, seg, shard)
+			},
+			OnReject: reject,
+			Deadline: deadline,
+			Bytes:    segBytes,
+		}
+		if err := p.computeSched.Submit(tenant, task); err != nil {
+			reject(err)
+		}
+	}
+	wg.Wait()
+}
+
+// runCommItems runs a communication statement's work list: one task
+// per instance on the communication engines, under the tenant's DRR
+// share.
+func (p *Platform) runCommItems(ctx context.Context, tenant string, fn CommFunc, items []batchItem, deadline time.Time) {
+	var wg sync.WaitGroup
+	for i := range items {
+		it := &items[i]
+		reject := func(err error) {
+			it.err = err
+			wg.Done()
+		}
+		wg.Add(1)
+		task := sched.Task{
+			Do: func() {
+				defer wg.Done()
+				// The scheduler drops entries that expire parked in its
+				// backlog, but a task can also outlive its deadline
+				// queued at the engine after dispatch; checking here
+				// keeps dead work from occupying an engine.
+				if it.err = ctx.Err(); it.err == nil {
+					it.outs, it.err = fn.Invoke(it.inst)
+				}
+			},
+			OnReject: reject,
+			Deadline: deadline,
+			Bytes:    it.bytes,
+		}
+		if err := p.commSched.Submit(tenant, task); err != nil {
+			reject(err)
+		}
+	}
+	wg.Wait()
+}
+
+// runNestedItems runs a nested-composition statement's work list: every
+// instance becomes one request of a single group that re-enters the
+// executor at depth+1, orchestrated on the calling goroutine (the
+// nested statements use the engines themselves).
+func (p *Platform) runNestedItems(ctx context.Context, tenant string, comp *graph.Composition, items []batchItem, depth int) {
+	inputs := make([]map[string][]memctx.Item, len(items))
+	var borrows []*memctx.Region
+	for i := range items {
+		in := make(map[string][]memctx.Item, len(items[i].inst))
+		for _, s := range items[i].inst {
+			in[s.Name] = s.Items
+		}
+		inputs[i] = in
+		if items[i].borrow != nil {
+			if borrows == nil {
+				borrows = make([]*memctx.Region, len(items))
+			}
+			borrows[i] = items[i].borrow
+		}
+	}
+	outs, errs := p.runGroup(ctx, tenant, p.planFor(comp), inputs, borrows, depth+1)
+	for i := range items {
+		if items[i].err = errs[i]; errs[i] != nil {
+			continue
+		}
+		sets := make([]memctx.Set, 0, len(outs[i]))
+		for name, its := range outs[i] {
+			sets = append(sets, memctx.Set{Name: name, Items: its})
+		}
+		items[i].outs = sets
 	}
 }
 
@@ -643,8 +739,13 @@ func chunkBoundsByBytes(items []batchItem, chunks int, total int64) []int {
 // memory — leased under a memctx.Region whose owner holds a reference
 // until the results are consumed, so neither Reset nor a later pooled
 // reuse can invalidate them.
-func (p *Platform) runComputeChunk(f *registeredFunc, prepared *dvm.Program, seg []batchItem, shard int) {
-	ctx, reused := memctx.NewPooled(funcMemBytes(f))
+//
+// The scheduler drops entries that expire parked in its backlog, but a
+// chunk can also outlive its deadline queued at the engine after
+// dispatch, or mid-run; checking the context before each instance
+// keeps dead work from occupying the engine.
+func (p *Platform) runComputeChunk(ctx context.Context, f *registeredFunc, prepared *dvm.Program, seg []batchItem, shard int) {
+	mctx, reused := memctx.NewPooled(funcMemBytes(f))
 	sh := p.ctrs.shardAt(shard)
 	if reused {
 		sh.ctxReused.Add(1)
@@ -652,10 +753,13 @@ func (p *Platform) runComputeChunk(f *registeredFunc, prepared *dvm.Program, seg
 		sh.ctxFresh.Add(1)
 	}
 	for i := range seg {
-		if i > 0 {
-			ctx.Reset()
+		if seg[i].err = ctx.Err(); seg[i].err != nil {
+			continue
 		}
-		seg[i].outs, seg[i].err = p.runComputeIn(ctx, f, prepared, seg[i].inst, seg[i].borrow, sh)
+		if i > 0 {
+			mctx.Reset()
+		}
+		seg[i].outs, seg[i].err = p.runComputeIn(mctx, f, prepared, seg[i].inst, seg[i].borrow, sh)
 	}
-	memctx.Recycle(ctx)
+	memctx.Recycle(mctx)
 }

@@ -47,7 +47,7 @@ func TestInvokeBatchMatchesInvoke(t *testing.T) {
 					},
 				}
 			}
-			got := p.InvokeBatch(reqs)
+			got := callBatch(p, reqs)
 			if len(got) != len(reqs) {
 				t.Fatalf("got %d results, want %d", len(got), len(reqs))
 			}
@@ -55,7 +55,7 @@ func TestInvokeBatchMatchesInvoke(t *testing.T) {
 				if res.Err != nil {
 					t.Fatalf("request %d failed: %v", i, res.Err)
 				}
-				want, err := p.Invoke("Pipe", reqs[i].Inputs)
+				want, err := call(p, "Pipe", reqs[i].Inputs)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -108,11 +108,11 @@ composition H(In) => Result {
 }`); err != nil {
 			t.Fatal(err)
 		}
-		_, err := p.Invoke("H", map[string][]memctx.Item{"In": items("x")})
+		_, err := call(p, "H", map[string][]memctx.Item{"In": items("x")})
 		if !errors.Is(err, memctx.ErrOutOfBounds) {
 			t.Fatalf("zc=%v: oversized output err = %v, want ErrOutOfBounds", zc, err)
 		}
-		res := p.InvokeBatch([]BatchRequest{{Composition: "H", Inputs: map[string][]memctx.Item{"In": items("x")}}})
+		res := callBatch(p, []BatchRequest{{Composition: "H", Inputs: map[string][]memctx.Item{"In": items("x")}}})
 		if !errors.Is(res[0].Err, memctx.ErrOutOfBounds) {
 			t.Fatalf("zc=%v: batched oversized output err = %v, want ErrOutOfBounds", zc, res[0].Err)
 		}
@@ -144,7 +144,7 @@ composition F(In) => Result {
 			{Composition: "F", Inputs: map[string][]memctx.Item{"In": items("a", "b", "c")}},
 			{Composition: "F", Inputs: map[string][]memctx.Item{"In": items("x", "y")}},
 		}
-		got := p.InvokeBatch(reqs)
+		got := callBatch(p, reqs)
 		outs := make([]string, len(got))
 		for i, res := range got {
 			if res.Err != nil {
@@ -190,7 +190,7 @@ composition B(In) => Result {
 		{Composition: "B", Inputs: map[string][]memctx.Item{"Wrong": items("x")}},
 		{Composition: "Pipe", Inputs: map[string][]memctx.Item{"In": items("ok")}},
 	}
-	got := p.InvokeBatch(reqs)
+	got := callBatch(p, reqs)
 	if got[0].Err != nil {
 		t.Fatalf("healthy request failed: %v", got[0].Err)
 	}
@@ -225,7 +225,7 @@ composition E(In) => Result {
 		{Composition: "E", Inputs: map[string][]memctx.Item{"In": items("a", "b", "c")}},
 		{Composition: "E", Inputs: map[string][]memctx.Item{"In": items("x", "y")}},
 	}
-	got := p.InvokeBatch(reqs)
+	got := callBatch(p, reqs)
 	join := func(its []memctx.Item) string {
 		var parts []string
 		for _, it := range its {
@@ -242,9 +242,9 @@ composition E(In) => Result {
 }
 
 func TestInvokeBatchDvmSharedProgram(t *testing.T) {
-	// Binary-backed functions: the batch path must reuse the decoded
-	// program from the hash-keyed cache even with CacheBinaries off.
-	p := newPlatform(t, Options{ComputeEngines: 2, CacheBinaries: false})
+	// Binary-backed functions: every chunk must reuse the decoded
+	// program from the hash-keyed cache.
+	p := newPlatform(t, Options{ComputeEngines: 2})
 	if err := p.RegisterFunction(ComputeFunc{
 		Name:       "Echo",
 		Binary:     dvm.EchoProgram().Encode(),
@@ -265,7 +265,7 @@ composition E(In) => Result {
 			"In": items(fmt.Sprintf("payload-%d", i)),
 		}}
 	}
-	got := p.InvokeBatch(reqs)
+	got := callBatch(p, reqs)
 	for i, res := range got {
 		if res.Err != nil {
 			t.Fatalf("request %d: %v", i, res.Err)
@@ -294,7 +294,7 @@ composition Solo(In) => Result {
 		{Composition: "Solo", Inputs: map[string][]memctx.Item{"In": items("s")}},
 		{Composition: "Pipe", Inputs: map[string][]memctx.Item{"In": items("q")}},
 	}
-	got := p.InvokeBatch(reqs)
+	got := callBatch(p, reqs)
 	for i, res := range got {
 		if res.Err != nil {
 			t.Fatalf("request %d: %v", i, res.Err)
@@ -321,10 +321,10 @@ composition Outer(In) => Result {
 }`); err != nil {
 		t.Fatal(err)
 	}
-	if res := p.InvokeBatch(nil); len(res) != 0 {
+	if res := callBatch(p, nil); len(res) != 0 {
 		t.Fatalf("empty batch returned %d results", len(res))
 	}
-	got := p.InvokeBatch([]BatchRequest{
+	got := callBatch(p, []BatchRequest{
 		{Composition: "Outer", Inputs: map[string][]memctx.Item{"In": items("deep")}},
 	})
 	if got[0].Err != nil {
@@ -379,7 +379,7 @@ func TestInvokeBatchMixedTenants(t *testing.T) {
 			},
 		})
 	}
-	results := p.InvokeBatch(reqs)
+	results := callBatch(p, reqs)
 	for i, res := range results {
 		if res.Err != nil {
 			t.Fatalf("result %d: %v", i, res.Err)
@@ -398,35 +398,6 @@ func TestInvokeBatchMixedTenants(t *testing.T) {
 	}
 	if completed[DefaultTenant] != 0 {
 		t.Fatalf("tagged requests leaked into the default tenant: %+v", p.Stats().Tenants)
-	}
-}
-
-// TestInvokeBatchAsOverridesTenant: the server-side entry point stamps
-// one tenant over the whole batch.
-func TestInvokeBatchAsOverridesTenant(t *testing.T) {
-	p := newPlatform(t, Options{ComputeEngines: 2})
-	registerUpperPipeline(t, p)
-
-	reqs := []BatchRequest{{
-		Composition: "Pipe",
-		Tenant:      "spoofed",
-		Inputs:      map[string][]memctx.Item{"In": {{Name: "x", Data: []byte("a")}}},
-	}}
-	results := p.InvokeBatchAs("real", reqs)
-	if results[0].Err != nil {
-		t.Fatal(results[0].Err)
-	}
-	var realSeen bool
-	for _, ts := range p.Stats().Tenants {
-		if ts.Tenant == "spoofed" && ts.Dispatched > 0 {
-			t.Fatalf("request ran under the spoofed tenant: %+v", ts)
-		}
-		if ts.Tenant == "real" {
-			realSeen = ts.Completed > 0
-		}
-	}
-	if !realSeen {
-		t.Fatalf("request not accounted to the real tenant: %+v", p.Stats().Tenants)
 	}
 }
 
@@ -454,7 +425,7 @@ func TestInvokeBatchBorrowedRegionLifetime(t *testing.T) {
 					Borrow: region,
 				}
 			}
-			results := p.InvokeBatch(reqs)
+			results := callBatch(p, reqs)
 			for i, res := range results {
 				if res.Err != nil {
 					t.Fatalf("request %d failed: %v", i, res.Err)

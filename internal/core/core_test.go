@@ -84,7 +84,7 @@ composition Up(In) => Result {
 }`); err != nil {
 		t.Fatal(err)
 	}
-	out, err := p.Invoke("Up", map[string][]memctx.Item{"In": items("hello", "world")})
+	out, err := call(p, "Up", map[string][]memctx.Item{"In": items("hello", "world")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ composition F(In) => Result {
 }`); err != nil {
 		t.Fatal(err)
 	}
-	out, err := p.Invoke("F", map[string][]memctx.Item{"In": items("seed")})
+	out, err := call(p, "F", map[string][]memctx.Item{"In": items("seed")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ composition K(In) => Result {
 }`); err != nil {
 		t.Fatal(err)
 	}
-	out, err := p.Invoke("K", map[string][]memctx.Item{"In": items("seed")})
+	out, err := call(p, "K", map[string][]memctx.Item{"In": items("seed")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ composition S(In) => Result {
 }`); err != nil {
 		t.Fatal(err)
 	}
-	out, err := p.Invoke("S", map[string][]memctx.Item{"In": items("x")})
+	out, err := call(p, "S", map[string][]memctx.Item{"In": items("x")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ composition O(In) => Result {
 }`); err != nil {
 		t.Fatal(err)
 	}
-	out, err := p.Invoke("O", map[string][]memctx.Item{"In": items("x")})
+	out, err := call(p, "O", map[string][]memctx.Item{"In": items("x")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ composition O(In) => Result {
 }
 
 func TestDvmFunctionWithRenaming(t *testing.T) {
-	p := newPlatform(t, Options{CacheBinaries: true})
+	p := newPlatform(t, Options{})
 	err := p.RegisterFunction(ComputeFunc{
 		Name:       "Echo",
 		Binary:     dvm.EchoProgram().Encode(),
@@ -211,7 +211,7 @@ composition E(In) => Result {
 }`); err != nil {
 		t.Fatal(err)
 	}
-	out, err := p.Invoke("E", map[string][]memctx.Item{"In": items("payload")})
+	out, err := call(p, "E", map[string][]memctx.Item{"In": items("payload")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestDvmSyscallAborts(t *testing.T) {
 composition V(In) => Result {
     Evil(x = all In) => (Result = out0);
 }`)
-	_, err := p.Invoke("V", map[string][]memctx.Item{"In": items("x")})
+	_, err := call(p, "V", map[string][]memctx.Item{"In": items("x")})
 	if !errors.Is(err, dvm.ErrSyscallAttempt) {
 		t.Fatalf("err = %v, want syscall trap", err)
 	}
@@ -244,7 +244,7 @@ func TestGoPanicConfined(t *testing.T) {
 composition B(In) => Result {
     Boom(x = all In) => (Result = Out);
 }`)
-	_, err := p.Invoke("B", map[string][]memctx.Item{"In": items("x")})
+	_, err := call(p, "B", map[string][]memctx.Item{"In": items("x")})
 	if err == nil || !strings.Contains(err.Error(), "crashed") {
 		t.Fatalf("err = %v, want crash report", err)
 	}
@@ -254,7 +254,7 @@ composition B(In) => Result {
 composition U(In) => Result {
     Upper(x = all In) => (Result = Out);
 }`)
-	if _, err := p.Invoke("U", map[string][]memctx.Item{"In": items("ok")}); err != nil {
+	if _, err := call(p, "U", map[string][]memctx.Item{"In": items("ok")}); err != nil {
 		t.Fatalf("platform dead after user crash: %v", err)
 	}
 }
@@ -293,7 +293,7 @@ composition C(In) => Result {
 }`); err != nil {
 		t.Fatal(err)
 	}
-	out, err := p.Invoke("C", map[string][]memctx.Item{"In": items("seed")})
+	out, err := call(p, "C", map[string][]memctx.Item{"In": items("seed")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +323,7 @@ composition Outer(In) => Result {
 }`); err != nil {
 		t.Fatal(err)
 	}
-	out, err := p.Invoke("Outer", map[string][]memctx.Item{"In": items("deep")})
+	out, err := call(p, "Outer", map[string][]memctx.Item{"In": items("deep")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,9 +348,13 @@ func TestDepthLimit(t *testing.T) {
 	if err := p.RegisterComposition(c); err != nil {
 		t.Fatal(err)
 	}
-	_, err := p.Invoke("Rec", map[string][]memctx.Item{"In": items("x")})
+	_, err := call(p, "Rec", map[string][]memctx.Item{"In": items("x")})
 	if !errors.Is(err, ErrTooDeep) {
 		t.Fatalf("err = %v, want ErrTooDeep", err)
+	}
+	res := callBatch(p, []BatchRequest{{Composition: "Rec", Inputs: map[string][]memctx.Item{"In": items("x")}}})
+	if !errors.Is(res[0].Err, ErrTooDeep) {
+		t.Fatalf("batch err = %v, want ErrTooDeep", res[0].Err)
 	}
 }
 
@@ -361,10 +365,10 @@ func TestErrors(t *testing.T) {
 composition U(In) => Result {
     Upper(x = all In) => (Result = Out);
 }`)
-	if _, err := p.Invoke("Nope", nil); !errors.Is(err, ErrNotRegistered) {
+	if _, err := call(p, "Nope", nil); !errors.Is(err, ErrNotRegistered) {
 		t.Fatalf("unknown composition err = %v", err)
 	}
-	if _, err := p.Invoke("U", map[string][]memctx.Item{}); !errors.Is(err, ErrMissingInput) {
+	if _, err := call(p, "U", map[string][]memctx.Item{}); !errors.Is(err, ErrMissingInput) {
 		t.Fatalf("missing input err = %v", err)
 	}
 	// Unknown function inside a composition.
@@ -372,7 +376,7 @@ composition U(In) => Result {
 composition G(In) => Result {
     Ghost(x = all In) => (Result = Out);
 }`)
-	if _, err := p.Invoke("G", map[string][]memctx.Item{"In": items("x")}); !errors.Is(err, ErrNotRegistered) {
+	if _, err := call(p, "G", map[string][]memctx.Item{"In": items("x")}); !errors.Is(err, ErrNotRegistered) {
 		t.Fatalf("ghost function err = %v", err)
 	}
 }
@@ -384,7 +388,7 @@ func TestFanoutMismatch(t *testing.T) {
 composition M(A, B) => Result {
     Join(a = each A, b = each B) => (Result = Out);
 }`)
-	_, err := p.Invoke("M", map[string][]memctx.Item{
+	_, err := call(p, "M", map[string][]memctx.Item{
 		"A": items("1", "2", "3"),
 		"B": items("x", "y"),
 	})
@@ -392,7 +396,7 @@ composition M(A, B) => Result {
 		t.Fatalf("err = %v, want ErrInstanceFanout", err)
 	}
 	// Matching counts zip.
-	out, err := p.Invoke("M", map[string][]memctx.Item{
+	out, err := call(p, "M", map[string][]memctx.Item{
 		"A": items("1", "2"),
 		"B": items("x", "y"),
 	})
@@ -459,7 +463,7 @@ composition U(In) => Result {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			out, err := p.Invoke("U", map[string][]memctx.Item{"In": items(fmt.Sprintf("v%d", i))})
+			out, err := call(p, "U", map[string][]memctx.Item{"In": items(fmt.Sprintf("v%d", i))})
 			if err == nil && string(out["Result"][0].Data) != fmt.Sprintf("resp:V%d", i) {
 				err = fmt.Errorf("bad result %q", out["Result"][0].Data)
 			}
@@ -484,7 +488,7 @@ func TestMemoryAccounting(t *testing.T) {
 composition U(In) => Result {
     Upper(x = all In) => (Result = Out);
 }`)
-	if _, err := p.Invoke("U", map[string][]memctx.Item{"In": items("12345678")}); err != nil {
+	if _, err := call(p, "U", map[string][]memctx.Item{"In": items("12345678")}); err != nil {
 		t.Fatal(err)
 	}
 	st := p.Stats()
@@ -506,7 +510,7 @@ composition U(In) => Result {
     Upper(x = all In) => (up = Out);
     Join(x = all up) => (Result = Out);
 }`)
-		out, err := p.Invoke("U", map[string][]memctx.Item{"In": items("a", "b")})
+		out, err := call(p, "U", map[string][]memctx.Item{"In": items("a", "b")})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -535,7 +539,7 @@ composition D(In) => Result {
     Lower(x = all In) => (l = Out);
     Join(a = all u, b = all l) => (Result = Out);
 }`)
-	out, err := p.Invoke("D", map[string][]memctx.Item{"In": items("MiXeD")})
+	out, err := call(p, "D", map[string][]memctx.Item{"In": items("MiXeD")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -551,7 +555,7 @@ func TestBalancedPlatformOption(t *testing.T) {
 composition U(In) => Result {
     Upper(x = all In) => (Result = Out);
 }`)
-	if _, err := p.Invoke("U", map[string][]memctx.Item{"In": items("x")}); err != nil {
+	if _, err := call(p, "U", map[string][]memctx.Item{"In": items("x")}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -127,8 +127,8 @@ func (p *Platform) SetAdmissionClamp(min, max int) {
 // AdmissionClamp reports the batch admission plane's current clamp.
 func (p *Platform) AdmissionClamp() (min, max int) { return p.adm.Clamp() }
 
-// Drain stops admitting new invocations: Invoke/InvokeAs and
-// InvokeBatch reject with ErrDraining while in-flight work (including
+// Drain stops admitting new invocations: InvokeKeyedAsCtx and
+// InvokeBatchCtx reject with ErrDraining while in-flight work (including
 // every statement of already-admitted compositions) completes normally.
 func (p *Platform) Drain() {
 	p.draining.Store(true)

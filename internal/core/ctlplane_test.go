@@ -40,7 +40,7 @@ func TestReconfigureEngineCountsLive(t *testing.T) {
 		t.Fatalf("EngineCounts after clamp = (%d, %d), want (1, 1)", c, m)
 	}
 	// The node still serves after both resizes.
-	out, err := p.Invoke("U", map[string][]memctx.Item{"In": items("live")})
+	out, err := call(p, "U", map[string][]memctx.Item{"In": items("live")})
 	if err != nil || string(out["Result"][0].Data) != "LIVE" {
 		t.Fatalf("invoke after resize: %v %v", out, err)
 	}
@@ -73,10 +73,10 @@ func TestDrainRejectsNewWorkAndResumes(t *testing.T) {
 	if !p.Draining() || !p.Stats().Draining {
 		t.Fatal("Draining not reported")
 	}
-	if _, err := p.Invoke("U", in); !errors.Is(err, ErrDraining) {
+	if _, err := call(p, "U", in); !errors.Is(err, ErrDraining) {
 		t.Fatalf("Invoke while draining = %v, want ErrDraining", err)
 	}
-	res := p.InvokeBatch([]BatchRequest{{Composition: "U", Inputs: in}, {Composition: "U", Inputs: in}})
+	res := callBatch(p, []BatchRequest{{Composition: "U", Inputs: in}, {Composition: "U", Inputs: in}})
 	for i, r := range res {
 		if !errors.Is(r.Err, ErrDraining) {
 			t.Fatalf("batch result %d while draining = %v, want ErrDraining", i, r.Err)
@@ -87,7 +87,7 @@ func TestDrainRejectsNewWorkAndResumes(t *testing.T) {
 	if p.Draining() {
 		t.Fatal("still draining after Resume")
 	}
-	out, err := p.Invoke("U", in)
+	out, err := call(p, "U", in)
 	if err != nil || string(out["Result"][0].Data) != "X" {
 		t.Fatalf("invoke after resume: %v %v", out, err)
 	}
@@ -142,7 +142,7 @@ composition S(In) => Result {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			p.Invoke("S", map[string][]memctx.Item{"In": items("x")})
+			call(p, "S", map[string][]memctx.Item{"In": items("x")})
 		}()
 	}
 	defer func() {
@@ -211,15 +211,15 @@ composition C(A, B) => Joined {
 	}
 
 	for i := 0; i < 50; i++ {
-		out, err := p.Invoke("U", map[string][]memctx.Item{"In": items("ab")})
+		out, err := call(p, "U", map[string][]memctx.Item{"In": items("ab")})
 		if err != nil || string(out["Result"][0].Data) != "AB" {
 			t.Fatalf("iter %d: U = %v %v", i, out, err)
 		}
-		out, err = p.Invoke("C", map[string][]memctx.Item{"A": items("1"), "B": items("2")})
+		out, err = call(p, "C", map[string][]memctx.Item{"A": items("1"), "B": items("2")})
 		if err != nil || string(out["Joined"][0].Data) != "1|2" {
 			t.Fatalf("iter %d: C = %v %v", i, out, err)
 		}
-		res := p.InvokeBatch([]BatchRequest{
+		res := callBatch(p, []BatchRequest{
 			{Composition: "U", Inputs: map[string][]memctx.Item{"In": items("x")}},
 			{Composition: "C", Inputs: map[string][]memctx.Item{"A": items("l"), "B": items("r")}},
 			{Composition: "U", Inputs: map[string][]memctx.Item{}}, // missing input: fails alone

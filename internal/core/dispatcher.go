@@ -1,3 +1,8 @@
+// The worker node: Platform construction and shutdown, registration,
+// the Stats snapshot, and the per-instance pieces the composition
+// executor (batch.go) is built from — per-request value stores,
+// all/each/key instance expansion, and runComputeIn, which runs one
+// compute instance inside a memory context.
 package core
 
 import (
@@ -55,16 +60,13 @@ type Options struct {
 	// core and grows it on demand).
 	ComputeEngines int
 	CommEngines    int
-	// CacheBinaries keeps decoded programs in memory (§7.4 "cached").
-	CacheBinaries bool
 	// ZeroCopy routes the data plane through ownership moves instead of
 	// copies (§6.1's future-work data path): statement outputs are
 	// handed off out of the producing memory context (memctx.TakeOutputs
 	// / memctx.HandoffOutput) and adopted by the consuming statement's
-	// context (memctx.AdoptInputSet) without cloning item payloads, on
-	// both the single-invoke and the chunked batch paths. Functions must
-	// treat input items as immutable under this option — payloads may be
-	// shared with other instances of the same batch.
+	// context (memctx.AdoptInputSet) without cloning item payloads.
+	// Functions must treat input items as immutable under this option —
+	// payloads may be shared with other instances of the same batch.
 	ZeroCopy bool
 	// Balance starts the PI-controller core balancer.
 	Balance bool
@@ -261,7 +263,7 @@ func (p *Platform) SetTenantWeight(tenant string, w int) {
 
 // RegisterFunction registers a compute function.
 func (p *Platform) RegisterFunction(f ComputeFunc) error {
-	return p.reg.addFunc(f, p.backend, p.opts.CacheBinaries, p.programs)
+	return p.reg.addFunc(f, p.backend, p.programs)
 }
 
 // RegisterComm registers a communication function. Only the platform
@@ -284,7 +286,7 @@ func (p *Platform) RegisterCompositionText(src string) ([]string, error) {
 // the JSON keys); docs/STATS.md documents the schema for clients.
 type Stats struct {
 	// Invocations counts composition invocations admitted (batched
-	// requests count individually); Batches counts InvokeBatch calls.
+	// requests count individually); Batches counts InvokeBatchCtx calls.
 	Invocations uint64
 	Batches     uint64
 	// ComputeEngines / CommEngines are the current pool sizes, and
@@ -410,44 +412,6 @@ func (p *Platform) Stats() Stats {
 	}
 }
 
-// Invoke runs a registered composition with the given input items and
-// returns its output sets keyed by output name. It runs under
-// DefaultTenant; multi-tenant callers use InvokeAs.
-func (p *Platform) Invoke(name string, inputs map[string][]memctx.Item) (map[string][]memctx.Item, error) {
-	return p.InvokeAsCtx(context.Background(), DefaultTenant, name, inputs)
-}
-
-// InvokeCtx is Invoke under a caller context: the context's deadline is
-// attached to every engine dispatch the invocation causes (expired work
-// is dropped unexecuted by the scheduling plane) and cancellation stops
-// new statements from starting.
-func (p *Platform) InvokeCtx(ctx context.Context, name string, inputs map[string][]memctx.Item) (map[string][]memctx.Item, error) {
-	return p.InvokeAsCtx(ctx, DefaultTenant, name, inputs)
-}
-
-// InvokeAs runs a registered composition under a tenant identity: every
-// engine dispatch it causes is scheduled in that tenant's DRR share and
-// accounted in its gauges. An empty tenant means DefaultTenant.
-func (p *Platform) InvokeAs(tenant, name string, inputs map[string][]memctx.Item) (map[string][]memctx.Item, error) {
-	return p.InvokeAsCtx(context.Background(), tenant, name, inputs)
-}
-
-// InvokeAsCtx is InvokeAs under a caller context (see InvokeCtx).
-// Deadline-class failures tick Stats.TimedOut.
-func (p *Platform) InvokeAsCtx(ctx context.Context, tenant, name string, inputs map[string][]memctx.Item) (map[string][]memctx.Item, error) {
-	if p.draining.Load() {
-		return nil, ErrDraining
-	}
-	comp, err := p.reg.composition(name)
-	if err != nil {
-		return nil, err
-	}
-	p.ctrs.shard().invocations.Add(1)
-	outs, err := p.invoke(ctx, tenant, p.planFor(comp), inputs, 0)
-	p.noteTimeout(err)
-	return outs, err
-}
-
 // noteTimeout ticks the deadline-loss counter for IsTimeout errors; the
 // nil-error fast path is a single branch.
 func (p *Platform) noteTimeout(err error) {
@@ -498,11 +462,12 @@ type valueStore struct {
 }
 
 // valueStorePool recycles valueStores across invocations: every request
-// allocates one (batch requests one each), and the map's buckets are
-// the dominant cost. Recycling is safe because the store only holds
-// item-slice references — putValueStore clears the keys (dropping the
-// references) but keeps the buckets, and the slices themselves remain
-// valid in the caller's output map after the store is reused.
+// (and every nested-composition instance) needs one, and the map's
+// buckets are the dominant cost. Recycling is safe because the store
+// only holds item-slice references — putValueStore clears the keys
+// (dropping the references) but keeps the buckets, and the slices
+// themselves remain valid in the caller's output map after the store
+// is reused.
 var valueStorePool = sync.Pool{
 	New: func() any { return &valueStore{vals: make(map[string][]memctx.Item, 8)} },
 }
@@ -541,183 +506,6 @@ func (s *valueStore) set(name string, items []memctx.Item) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.vals[name] = items
-}
-
-func (p *Platform) invoke(ctx context.Context, tenant string, pl *compPlan, inputs map[string][]memctx.Item, depth int) (map[string][]memctx.Item, error) {
-	if depth >= p.opts.MaxDepth {
-		return nil, fmt.Errorf("%w (%d)", ErrTooDeep, p.opts.MaxDepth)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	comp := pl.comp
-	store := getValueStore()
-	defer putValueStore(store)
-	for _, in := range comp.Inputs {
-		items, ok := inputs[in]
-		if !ok {
-			return nil, fmt.Errorf("%w: %q", ErrMissingInput, in)
-		}
-		store.set(in, items)
-	}
-
-	done := make([]chan struct{}, len(comp.Stmts))
-	for i := range done {
-		done[i] = make(chan struct{})
-	}
-	var firstErr error
-	var errMu sync.Mutex
-	var failed atomic.Bool
-	setErr := func(err error) {
-		errMu.Lock()
-		defer errMu.Unlock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		failed.Store(true)
-	}
-
-	var wg sync.WaitGroup
-	for i := range comp.Stmts {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer close(done[i])
-			for _, d := range pl.deps[i] {
-				<-done[d]
-			}
-			if failed.Load() {
-				return
-			}
-			if err := ctx.Err(); err != nil {
-				setErr(err)
-				return
-			}
-			if err := p.runStatement(ctx, tenant, &pl.stmts[i], store, depth); err != nil {
-				setErr(pl.stmts[i].wrap(err))
-			}
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-
-	out := make(map[string][]memctx.Item, len(comp.Outputs))
-	for _, b := range comp.Outputs {
-		out[b.Name] = store.get(b.Value, false)
-	}
-	return out, nil
-}
-
-// runStatement expands a statement into instances per the edge modes,
-// executes them on the appropriate engines (scheduled under the tenant's
-// DRR share), and merges outputs. The vertex, instance shape, and error
-// label come precompiled from the statement's plan (plan.go).
-func (p *Platform) runStatement(ctx context.Context, tenant string, sp *stmtPlan, store *valueStore, depth int) error {
-	st := *sp.st
-	v, err := p.resolveStmt(sp)
-	if err != nil {
-		return err
-	}
-	// The context deadline rides along on every engine dispatch below;
-	// zero (no deadline) costs the scheduler a single IsZero check.
-	deadline, _ := ctx.Deadline()
-
-	// Gather argument items; decide skip (§4.4): any non-optional input
-	// set with zero items suppresses execution, defining empty outputs.
-	// For compute functions and nested compositions the gather aliases
-	// the store's items — the one value-semantics clone each instance is
-	// owed happens at the context boundary (AddInputSet), not here.
-	// Communication functions have no memory context, so on the copying
-	// path their one clone is paid here instead (under ZeroCopy they
-	// receive aliases and must not mutate them, per the CommFunc
-	// contract).
-	cloneGather := v.comm != nil && !p.opts.ZeroCopy
-	argItems := make([][]memctx.Item, len(st.Args))
-	skip := false
-	for ai, a := range st.Args {
-		argItems[ai] = store.get(a.Value, cloneGather)
-		if len(argItems[ai]) == 0 && !a.Optional {
-			skip = true
-		}
-	}
-	if skip {
-		for _, r := range st.Rets {
-			store.set(r.Value, nil)
-		}
-		return nil
-	}
-
-	var instances []instance
-	if sp.broadcastOnly {
-		// Precompiled shape: every arg broadcasts, exactly one instance.
-		instances = []instance{singleInstance(st.Args, argItems)}
-	} else if instances, err = expandInstances(st.Args, argItems); err != nil {
-		return err
-	}
-
-	// Execute instances concurrently; collect outputs per instance to
-	// keep merge order deterministic.
-	results := make([][]memctx.Set, len(instances))
-	errs := make([]error, len(instances))
-	var wg sync.WaitGroup
-	for idx, inst := range instances {
-		idx, inst := idx, inst
-		wg.Add(1)
-		run := func() {
-			defer wg.Done()
-			outs, err := p.runInstance(ctx, tenant, v, st, inst, depth, nil)
-			results[idx], errs[idx] = outs, err
-		}
-		reject := func(err error) {
-			errs[idx] = err
-			wg.Done()
-		}
-		switch {
-		case v.comm != nil:
-			if err := p.commSched.Submit(tenant, sched.Task{Do: run, OnReject: reject, Deadline: deadline, Bytes: instanceBytes(inst)}); err != nil {
-				reject(err)
-			}
-		case v.fn != nil:
-			// Compute tasks run on an engine with a stable shard index;
-			// hand it through so counter ticks hit a fixed shard instead
-			// of re-deriving one per call.
-			runOn := func(shard int) {
-				defer wg.Done()
-				outs, err := p.runInstance(ctx, tenant, v, st, inst, depth, p.ctrs.shardAt(shard))
-				results[idx], errs[idx] = outs, err
-			}
-			if err := p.computeSched.Submit(tenant, sched.Task{DoSharded: runOn, OnReject: reject, Deadline: deadline, Bytes: instanceBytes(inst)}); err != nil {
-				reject(err)
-			}
-		default:
-			// Nested composition: orchestrated inline by the dispatcher
-			// green thread; its statements use the engines themselves.
-			go run()
-		}
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-
-	// Merge instance outputs in instance order under each Ret binding.
-	for _, r := range st.Rets {
-		var merged []memctx.Item
-		for _, outs := range results {
-			for _, s := range outs {
-				if s.Name == r.Set {
-					merged = append(merged, s.Items...)
-				}
-			}
-		}
-		store.set(r.Value, merged)
-	}
-	return nil
 }
 
 // instance is one function instantiation: the input sets it receives.
@@ -778,40 +566,6 @@ func expandInstances(args []graph.Arg, items [][]memctx.Item) ([]instance, error
 	return out, nil
 }
 
-// runInstance executes one instance of a vertex. It is called on an
-// engine worker (compute or communication) or, for nested compositions,
-// on a dispatcher goroutine. sh, when non-nil, is the engine's stable
-// counter shard; nil callers (comm engines, nested compositions) let
-// the compute path derive one.
-func (p *Platform) runInstance(ctx context.Context, tenant string, v vertex, st graph.Stmt, inst instance, depth int, sh *hotShard) ([]memctx.Set, error) {
-	// The scheduler drops entries that expire parked in its backlog, but
-	// a task can also outlive its deadline queued at the engine after
-	// dispatch; checking here keeps dead work from occupying an engine.
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	switch {
-	case v.comm != nil:
-		return v.comm.Invoke(inst)
-	case v.fn != nil:
-		return p.runCompute(v.fn, inst, sh)
-	default:
-		childInputs := make(map[string][]memctx.Item, len(inst))
-		for _, s := range inst {
-			childInputs[s.Name] = s.Items
-		}
-		childOut, err := p.invoke(ctx, tenant, p.planFor(v.comp), childInputs, depth+1)
-		if err != nil {
-			return nil, err
-		}
-		sets := make([]memctx.Set, 0, len(childOut))
-		for name, items := range childOut {
-			sets = append(sets, memctx.Set{Name: name, Items: items})
-		}
-		return sets, nil
-	}
-}
-
 // funcMemBytes resolves a function's declared context limit.
 func funcMemBytes(f *registeredFunc) int {
 	if f.MemBytes > 0 {
@@ -820,30 +574,9 @@ func funcMemBytes(f *registeredFunc) int {
 	return memctx.DefaultLimit
 }
 
-// runCompute prepares an isolated memory context (recycled through the
-// memctx pool), executes the function under the configured backend,
-// harvests outputs, and recycles the context.
-func (p *Platform) runCompute(f *registeredFunc, inst instance, sh *hotShard) ([]memctx.Set, error) {
-	ctx, reused := memctx.NewPooled(funcMemBytes(f))
-	if sh == nil {
-		sh = p.ctrs.shard()
-	}
-	if reused {
-		sh.ctxReused.Add(1)
-	} else {
-		sh.ctxFresh.Add(1)
-	}
-	outs, err := p.runComputeIn(ctx, f, f.prepared, inst, nil, sh)
-	// Safe to recycle in both data-plane modes: harvested outputs were
-	// moved out of (or cloned by) the context, and their payloads are
-	// independent heap buffers, never region-backed.
-	memctx.Recycle(ctx)
-	return outs, err
-}
-
 // runComputeIn executes one instance inside the provided context, which
-// the batch path reuses (via Reset) across the instances of a chunk.
-// prepared, when non-nil, skips the per-execution binary decode.
+// runComputeChunk reuses (via Reset) across the instances of a chunk.
+// prepared is the function's decoded program (nil for Go functions).
 //
 // The data plane has two modes, and in both each boundary crossing
 // costs at most one memcpy. The copying path (default) clones the
@@ -858,7 +591,7 @@ func (p *Platform) runCompute(f *registeredFunc, inst instance, sh *hotShard) ([
 // ownership moves: inputs are adopted (AdoptInputSet) and outputs
 // handed off (AdoptOutputs + TakeOutputs), so the dispatcher — and
 // through it the consuming statement's context, also across chunk
-// boundaries within one batch — receives the producer's buffers.
+// boundaries — receives the producer's buffers.
 //
 // borrow, when non-nil, is the wire-memory lease of the request the
 // instance belongs to (BatchRequest.Borrow): zero-copy input adoption

@@ -61,7 +61,7 @@ func TestStatsCounterConsistencyConcurrentInvokes(t *testing.T) {
 					defer wg.Done()
 					tenant := fmt.Sprintf("t%d", g%3)
 					for i := 0; i < perG; i++ {
-						out, err := p.InvokeAs(tenant, "E", input(payload))
+						out, err := callAs(p, tenant, "E", input(payload))
 						if err != nil {
 							t.Error(err)
 							return
@@ -112,8 +112,7 @@ func TestStatsCounterConsistencyConcurrentInvokes(t *testing.T) {
 }
 
 // TestStatsCounterConsistencyConcurrentBatches mirrors the invoke test
-// on the chunked batch path, where contexts are acquired per chunk
-// rather than per instance.
+// for batches, whose chunks may carry several instances per context.
 func TestStatsCounterConsistencyConcurrentBatches(t *testing.T) {
 	const goroutines = 4
 	const perG = 10
@@ -136,7 +135,7 @@ func TestStatsCounterConsistencyConcurrentBatches(t *testing.T) {
 						for j := range reqs {
 							reqs[j] = BatchRequest{Composition: "E", Inputs: input("x")}
 						}
-						for _, res := range p.InvokeBatch(reqs) {
+						for _, res := range callBatch(p, reqs) {
 							if res.Err != nil {
 								t.Error(res.Err)
 								return
@@ -190,7 +189,7 @@ composition L(In) => Result {
 		t.Fatal(err)
 	}
 	in := map[string][]memctx.Item{"In": {{Name: "i", Data: []byte("v")}}}
-	if _, err := p.Invoke("L", in); err == nil {
+	if _, err := call(p, "L", in); err == nil {
 		t.Fatal("invoke before function registration should fail")
 	}
 	err := p.RegisterFunction(ComputeFunc{Name: "Late", Go: func(in []memctx.Set) ([]memctx.Set, error) {
@@ -199,7 +198,7 @@ composition L(In) => Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := p.Invoke("L", in)
+	out, err := call(p, "L", in)
 	if err != nil {
 		t.Fatalf("invoke after late registration: %v", err)
 	}

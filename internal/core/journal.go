@@ -1,12 +1,15 @@
-// Durable-journal hooks in the dispatch and batch paths. A platform
-// built with Options.Journal appends a record for every *keyed*
-// invocation (begin at admit, end or chunk-completion at outcome) and
-// for every admin reconfiguration, and replays the journal at
-// construction: reconfig records re-apply through the
-// ctlplane.Reconfigurer surface, completed-key records rebuild the
-// dedup table. Unkeyed invocations journal nothing — with no
-// idempotency key there is no identity to deduplicate against, and the
-// unkeyed serving hot path stays journal-free.
+// Durable-journal hooks around the composition executor. Every keyed
+// request — a single from InvokeKeyedAsCtx or a request of an
+// InvokeBatchCtx batch — settles through one sequence:
+// beginKeyedBatch reserves its key (and journals its begin record)
+// before execution, finishKeyedBatch settles it after. A platform built
+// with Options.Journal appends those records and one for every admin
+// reconfiguration, and replays the journal at construction: reconfig
+// records re-apply through the ctlplane.Reconfigurer surface,
+// completed-key records rebuild the dedup table. Unkeyed invocations
+// journal nothing — with no idempotency key there is no identity to
+// deduplicate against, and the unkeyed serving hot path stays
+// journal-free.
 //
 // The dedup table itself is always on (even without a journal), so
 // in-process retries of keyed work — the cluster manager re-running a
@@ -15,8 +18,6 @@
 package core
 
 import (
-	"context"
-
 	"dandelion/internal/ctlplane"
 	"dandelion/internal/journal"
 	"dandelion/internal/memctx"
@@ -83,54 +84,6 @@ func (p *Platform) JournalReplayed() uint64 { return p.jReplayed }
 // completed-key table.
 func (p *Platform) DedupHits() uint64 { return p.dedup.Hits() }
 
-// InvokeKeyed is InvokeKeyedAs under DefaultTenant.
-func (p *Platform) InvokeKeyed(name, key string, inputs map[string][]memctx.Item) (map[string][]memctx.Item, error) {
-	return p.InvokeKeyedAs(DefaultTenant, name, key, inputs)
-}
-
-// InvokeKeyedAs runs a composition under an idempotency key: a key
-// that already completed answers from the dedup table (cached outputs,
-// or ErrDuplicate when only the journaled digest survives) without
-// re-executing; a key still executing answers ErrInFlight; a fresh key
-// executes with begin/end journaling. An empty key degrades to
-// InvokeAs.
-func (p *Platform) InvokeKeyedAs(tenant, name, key string, inputs map[string][]memctx.Item) (map[string][]memctx.Item, error) {
-	return p.InvokeKeyedAsCtx(context.Background(), tenant, name, key, inputs)
-}
-
-// InvokeKeyedAsCtx is InvokeKeyedAs under a caller context (see
-// InvokeCtx). A keyed invocation that fails deadline-class releases its
-// key like any other failure, so a retry with a fresh budget may
-// re-execute.
-func (p *Platform) InvokeKeyedAsCtx(ctx context.Context, tenant, name, key string, inputs map[string][]memctx.Item) (map[string][]memctx.Item, error) {
-	if key == "" {
-		return p.InvokeAsCtx(ctx, tenant, name, inputs)
-	}
-	if p.draining.Load() {
-		return nil, ErrDraining
-	}
-	comp, err := p.reg.composition(name)
-	if err != nil {
-		return nil, err
-	}
-	if tenant == "" {
-		tenant = DefaultTenant
-	}
-	outs, derr, execute := p.dedup.Reserve(key)
-	if !execute {
-		return outs, derr
-	}
-	p.journalAppend(journal.Record{
-		Kind: journal.KindInvokeBegin, Tenant: tenant, Comp: name, Key: key,
-		Digest: journal.DigestSets(inputs),
-	})
-	p.ctrs.shard().invocations.Add(1)
-	outs, err = p.invoke(ctx, tenant, p.planFor(comp), inputs, 0)
-	p.settleKey(tenant, name, key, outs, err)
-	p.noteTimeout(err)
-	return outs, err
-}
-
 // settleKey resolves one executed key: success completes it (dedup
 // entry caches the outputs, journal gets the outcome digest), failure
 // releases it so a retry may re-execute (the end record's A=1 keeps
@@ -153,7 +106,7 @@ func (p *Platform) settleKey(tenant, name, key string, outs map[string][]memctx.
 	})
 }
 
-// keyedBatch tracks the keyed requests of one InvokeBatch call.
+// keyedBatch tracks the keyed requests of one executor call.
 type keyedBatch struct {
 	skip     []bool // resolved from the dedup table; not executed
 	executed []int  // request indices reserved for execution
@@ -162,21 +115,27 @@ type keyedBatch struct {
 	lo       int
 }
 
-// beginKeyedBatch resolves the batch's keyed requests against the
-// dedup table before dispatch. Duplicates are answered in place and
-// masked out of execution; fresh keys are reserved and journaled.
-// Returns nil when the batch carries no keys (the journal-free hot
-// path). A batch whose keys form one contiguous chunk run ("base#lo"
-// .. "base#lo+n-1", as assigned by cluster.Manager) defers journaling
-// to a single KindChunkDone record at completion instead of
-// per-request begin/end pairs.
+// beginKeyedBatch resolves the keyed requests against the dedup table
+// before dispatch. Requests that already failed (an unknown
+// composition) are left alone: their keys are neither reserved nor
+// journaled. Duplicates are answered in place and masked out of
+// execution; fresh keys are reserved and journaled. Returns nil when no
+// request carries a key (the journal-free hot path). Requests whose
+// keys form one contiguous chunk run ("base#lo" .. "base#lo+n-1", as
+// assigned by cluster.Manager; a single "base#i" is a run of one) defer
+// journaling to a single KindChunkDone record at completion instead of
+// per-request begin/end pairs. The record claims every key of the run,
+// so the run must be whole: any unkeyed or failed request rules it out.
 func (p *Platform) beginKeyedBatch(reqs []BatchRequest, results []BatchResult) *keyedBatch {
 	anyKey := false
 	allKeyed := true
 	for i := range reqs {
-		if reqs[i].Key != "" {
+		switch {
+		case results[i].Err != nil:
+			allKeyed = false
+		case reqs[i].Key != "":
 			anyKey = true
-		} else {
+		default:
 			allKeyed = false
 		}
 	}
@@ -193,7 +152,7 @@ func (p *Platform) beginKeyedBatch(reqs []BatchRequest, results []BatchResult) *
 	}
 	for i := range reqs {
 		key := reqs[i].Key
-		if key == "" {
+		if key == "" || results[i].Err != nil {
 			continue
 		}
 		outs, derr, execute := p.dedup.Reserve(key)

@@ -2,9 +2,8 @@
 // a composition re-doing work whose answer never changes between
 // registrations: per-statement registry resolution (an RWMutex-guarded
 // map lookup), dependency-edge derivation (two map-building passes),
-// instance-shape analysis of the all/each/key argument modes, and — on
-// the batch path — a sha256 over the function binary to find its
-// decoded program. A compPlan resolves all of that once per
+// instance-shape analysis of the all/each/key argument modes, and a
+// sha256 over the function binary to find its decoded program. A compPlan resolves all of that once per
 // (composition, registry generation): the dispatcher's hot loops then
 // run off immutable precomputed state, and the only cross-invoke
 // synchronization left is a lock-free sync.Map load.
@@ -35,11 +34,10 @@ type stmtPlan struct {
 	// errPrefix is the precomputed wrap prefix for this statement's
 	// failures ("core: <comp>: statement <i> (<func>): ").
 	errPrefix string
-	// batchProg is the decoded program the chunked batch path shares
-	// across a statement's instances (dvm compute functions only). The
-	// single-invoke path keeps honoring Options.CacheBinaries via
-	// registeredFunc.prepared instead, preserving the cached/uncached
-	// ablation semantics.
+	// batchProg is the content-addressed decoded program every compute
+	// chunk of the statement runs (dvm compute functions only; nil for
+	// Go functions). Decoded programs are always cached: no execution
+	// decodes a binary.
 	batchProg *dvm.Program
 	// broadcastOnly marks a statement whose arguments are all in `all`
 	// mode: it expands to exactly one instance, so the dispatcher can

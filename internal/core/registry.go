@@ -13,7 +13,6 @@ import (
 	"sync/atomic"
 
 	"dandelion/internal/dsl"
-	"dandelion/internal/dvm"
 	"dandelion/internal/graph"
 	"dandelion/internal/isolation"
 	"dandelion/internal/memctx"
@@ -64,10 +63,9 @@ type ComputeFunc struct {
 
 type registeredFunc struct {
 	ComputeFunc
-	prepared *dvm.Program // in-memory binary cache entry (nil = uncached)
 	// progKey is the binary's content address, computed once here at
-	// registration. Hot-path consumers (the batch program lookup, the
-	// invocation-plan builder) key the program cache by it directly, so
+	// registration. Hot-path consumers (the executor's program lookup,
+	// the invocation-plan builder) key the program cache by it directly, so
 	// no invoke ever re-hashes a binary.
 	progKey [sha256.Size]byte
 	// outRename maps positional dvm output names (out0, out1, ...) to
@@ -97,7 +95,7 @@ func newRegistry() *registry {
 	}
 }
 
-func (r *registry) addFunc(f ComputeFunc, backend isolation.Backend, cache bool, programs *programCache) error {
+func (r *registry) addFunc(f ComputeFunc, backend isolation.Backend, programs *programCache) error {
 	if f.Name == "" {
 		return fmt.Errorf("core: compute function needs a name")
 	}
@@ -117,23 +115,15 @@ func (r *registry) addFunc(f ComputeFunc, backend isolation.Backend, cache bool,
 		// Validate at registration through the hash-keyed program cache,
 		// so identical binaries registered under different names share
 		// one decoded program. The content hash is computed exactly once,
-		// here; the hot paths reuse rf.progKey and never re-hash. The
-		// decoded program is pinned to the function (skipping the
-		// per-invocation decode) only when the in-memory binary cache is
-		// enabled; the batch path always consults the key cache
-		// regardless.
+		// here; the hot paths reuse rf.progKey and never re-hash.
 		rf.progKey = sha256.Sum256(f.Binary)
-		p, err := programs.getByKey(rf.progKey, f.Binary)
-		if err != nil {
+		if _, err := programs.getByKey(rf.progKey, f.Binary); err != nil {
 			return fmt.Errorf("core: function %q: %w", f.Name, err)
 		}
 		if c, ok := backend.(isolation.Compiler); ok {
 			if err := c.Compile(f.Binary); err != nil {
 				return fmt.Errorf("core: function %q: %w", f.Name, err)
 			}
-		}
-		if cache {
-			rf.prepared = p
 		}
 		if len(f.OutputSets) > 0 {
 			rf.outRename = make(map[string]string, len(f.OutputSets))

@@ -17,7 +17,7 @@ import (
 
 func newServer(t *testing.T) (*dandelion.Platform, *httptest.Server) {
 	t.Helper()
-	p, err := dandelion.New(dandelion.Options{CacheBinaries: true})
+	p, err := dandelion.New(dandelion.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,7 @@
 # trajectory across PRs.
 #
 # Records, per benchmark: ns/op, inv/s (where reported), B/op, and
-# allocs/op for the single-invoke and batched dispatch paths (both
+# allocs/op for single invokes and batched dispatch (both
 # data-plane modes), the HTTP-level serving benchmark crossing the two
 # wire framings (JSON vs binary, docs/WIRE.md) with payloads from 64 B
 # to 1 MiB (the ISSUE 10 large-payload rows), the per-scenario rows of

@@ -57,7 +57,7 @@ func FileFunc(quota int, fn func(fs *FS) error) GoFunc {
 // request per payload, each carrying a single item under inputSet of
 // the named composition. It is the batched analogue of the one-item
 // /invoke HTTP shortcut. The requests run as DefaultTenant; use
-// BatchAs (or Platform.InvokeBatchAs) to schedule them under a tenant.
+// BatchAs to schedule them under a tenant.
 func BatchOf(composition, inputSet string, payloads ...[]byte) []BatchRequest {
 	return BatchAs("", composition, inputSet, payloads...)
 }
