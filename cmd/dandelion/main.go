@@ -62,7 +62,7 @@ func main() {
 	tenantWeights := flag.String("tenant-weights", "", "per-tenant DRR dispatch weights, e.g. 'alice=2,bob=1' (unlisted tenants get 1)")
 	byteFairness := flag.Bool("byte-fairness", false, "charge DRR dispatch deficits in payload bytes instead of task counts, so large-payload tenants cannot starve interactive ones")
 	autoscale := flag.Bool("autoscale", false, "grow/shrink the compute-engine pool with load (elasticity controller)")
-	autoscaleMax := flag.Int("autoscale-max", 0, "compute-pool ceiling under -autoscale (0 = 4x initial)")
+	autoscaleMax := flag.Int("autoscale-max", 0, "compute-pool ceiling under -autoscale (0 = 4x initial); elasticity also stops growing once compute+comm reaches it plus the comm count set at boot or by /admin/engines")
 	adminToken := flag.String("admin-token", "", "bearer token enabling the /admin control-plane routes (empty disables them)")
 	journalDir := flag.String("journal", "", "directory for the durable invocation journal (created if missing); admin reconfiguration and keyed invocations are replayed from it on restart (empty disables journaling)")
 	maxBodyBytes := flag.Int64("max-body-bytes", 0, "per-request body cap on the invocation and registration routes; oversized requests get 413 (0 = 64 MiB default)")

@@ -41,7 +41,6 @@ import (
 	"path/filepath"
 
 	"dandelion/internal/core"
-	"dandelion/internal/ctlplane"
 	"dandelion/internal/httpfn"
 	"dandelion/internal/isolation"
 	"dandelion/internal/journal"
@@ -140,7 +139,8 @@ type Options struct {
 	// may be shared with other instances. The /stats counters
 	// ZeroCopyHandoffs and ZeroCopyHandoffBytes report what it saves.
 	ZeroCopy bool
-	// Balance enables the PI-controller core re-balancer.
+	// Balance enables the PI-controller core re-balancer, which runs in
+	// the same control loop as Autoscale.
 	Balance bool
 	// Autoscale starts the elasticity controller: the compute-engine
 	// pool grows and shrinks with queue backlog and dispatch-wait p99
@@ -150,7 +150,10 @@ type Options struct {
 	// PUT /admin/engines).
 	Autoscale bool
 	// AutoscaleMax bounds the compute pool under Autoscale (default
-	// 4× the initial compute-engine count).
+	// 4× the initial compute-engine count). With Balance also on, PI
+	// core moves never take compute past it, and elasticity stops
+	// growing once compute+comm reaches AutoscaleMax plus the comm count
+	// last set at boot or by SetEngineCounts.
 	AutoscaleMax int
 	// TenantWeights seeds the scheduling plane's per-tenant DRR
 	// dispatch weights; unlisted tenants get weight 1. Weights can be
@@ -246,7 +249,7 @@ func New(opts Options) (*Platform, error) {
 		TenantWeights:  opts.TenantWeights,
 		ByteFairness:   opts.ByteFairness,
 		Autoscale:      opts.Autoscale,
-		Elasticity:     ctlplane.Config{Max: opts.AutoscaleMax},
+		AutoscaleMax:   opts.AutoscaleMax,
 	})
 	if err != nil {
 		if jrnl != nil {

@@ -10,10 +10,9 @@
 package core
 
 import (
-	"time"
-
 	"dandelion/internal/autoscale"
 	"dandelion/internal/ctlplane"
+	"dandelion/internal/engine"
 	"dandelion/internal/journal"
 )
 
@@ -35,48 +34,29 @@ func (p *Platform) TenantShare(tenant string) float64 {
 	return p.computeSched.Share(tenant)
 }
 
-// SetEngineCounts resizes both engine pools at runtime. Counts below 1
-// are clamped to 1 — a node with zero engines of either kind deadlocks
-// its dispatch path, so the control plane refuses to create one — and
-// while the elasticity controller is enabled the compute count is
-// additionally clamped into its [Min, Max] bounds, so a manual resize
-// and the controller never fight (callers read the effective sizes
-// back with EngineCounts). With autoscale toggled off the bounds do
-// not apply: the operator takes manual control of the pool size. The
-// schedulers' dispatch windows track pool sizes through WindowFn and
-// widen or narrow automatically.
+// SetEngineCounts resizes both engine pools at runtime through the
+// pool actuator, which applies the same rules as its control loop:
+// counts below 1 are clamped to 1 — a node with zero engines of either
+// kind deadlocks its dispatch path — and while autoscale is enabled the
+// compute count is clamped into the elasticity bounds, so a manual
+// resize and the controller never fight (callers read the effective
+// sizes back with EngineCounts). With autoscale toggled off the bounds
+// do not apply: the operator takes manual control of the pool size.
+// The journal records the sizes applied. The schedulers' dispatch
+// windows track pool sizes through WindowFn and widen or narrow
+// automatically.
 func (p *Platform) SetEngineCounts(compute, comm int) {
-	if compute < 1 {
-		compute = 1
-	}
-	if comm < 1 {
-		comm = 1
-	}
-	if p.elastic != nil && p.elastic.Enabled() {
-		min, max := p.elastic.Bounds()
-		if compute < min {
-			compute = min
-		}
-		if compute > max {
-			compute = max
-		}
-	}
-	p.computePool.SetCount(compute)
-	p.commPool.SetCount(comm)
+	compute, comm = p.pools.SetEngineCounts(compute, comm)
 	p.journalReconfig(journal.OpEngineCounts, "", int64(compute), int64(comm))
 }
 
 // EngineCounts reports the current engine-pool sizes.
-func (p *Platform) EngineCounts() (compute, comm int) {
-	return p.computePool.Count(), p.commPool.Count()
-}
+func (p *Platform) EngineCounts() (compute, comm int) { return p.pools.Counts() }
 
-// SetAutoscale toggles the elasticity controller at runtime; a no-op on
+// SetAutoscale toggles the elasticity decision at runtime; a no-op on
 // platforms built without Options.Autoscale.
 func (p *Platform) SetAutoscale(on bool) {
-	if p.elastic != nil {
-		p.elastic.SetEnabled(on)
-	}
+	p.pools.SetAutoscale(on)
 	var a int64
 	if on {
 		a = 1
@@ -84,24 +64,13 @@ func (p *Platform) SetAutoscale(on bool) {
 	p.journalReconfig(journal.OpAutoscale, "", a, 0)
 }
 
-// AutoscaleOn reports whether the elasticity controller is present and
+// AutoscaleOn reports whether the elasticity decision is present and
 // enabled.
-func (p *Platform) AutoscaleOn() bool {
-	return p.elastic != nil && p.elastic.Enabled()
-}
+func (p *Platform) AutoscaleOn() bool { return p.pools.AutoscaleOn() }
 
 // EngineResizes reports the cumulative number of compute-pool resizes
-// the elasticity controller has applied (0 without Options.Autoscale).
-func (p *Platform) EngineResizes() uint64 {
-	if p.elastic == nil {
-		return 0
-	}
-	return p.elastic.Resizes()
-}
-
-// Elasticity exposes the elasticity controller (nil without
-// Options.Autoscale); tests drive StepOnce through it.
-func (p *Platform) Elasticity() *ctlplane.Elasticity { return p.elastic }
+// the elasticity decision has applied (0 without Options.Autoscale).
+func (p *Platform) EngineResizes() uint64 { return p.pools.Resizes() }
 
 // NodeStats adapts Stats to the cluster manager's Node interface;
 // an in-process platform snapshot cannot fail, so the error is always
@@ -144,28 +113,37 @@ func (p *Platform) Resume() {
 // Draining reports whether the node is refusing new invocations.
 func (p *Platform) Draining() bool { return p.draining.Load() }
 
-// elasticSignals samples the compute plane's load for the elasticity
-// controller: backlog is sched-parked tasks plus the engine queue, and
-// WaitP99 the worst per-tenant dispatch-wait p99 — the gauge the
-// fairness work is judged by, reused as the scale-up trigger. Only
-// tenants with *queued* work contribute their p99: the gauge is
-// computed over a ring of past samples, so without new dispatches it
-// reflects a finished burst, and counting it — for an idle tenant, or
-// for one whose only activity is an already-running long request —
-// would read as pressure forever and pin the pool at Max. A tenant
-// with nothing parked cannot be accruing dispatch wait right now.
-func (p *Platform) elasticSignals() ctlplane.Signals {
-	var queued int
-	var p99 time.Duration
+// poolSignals samples the node's load for the pool actuator. The PI
+// decision reads each engine queue's counters. The elasticity decision,
+// when asked for, reads the compute backlog — sched-parked tasks plus
+// the engine queue — and WaitP99, the worst per-tenant dispatch-wait
+// p99: the gauge the fairness work is judged by, reused as the scale-up
+// trigger. Only tenants with *queued* work contribute their p99: the
+// gauge is computed over a ring of past samples, so without new
+// dispatches it reflects a finished burst, and counting it — for an
+// idle tenant, or for one whose only activity is an already-running
+// long request — would read as pressure forever and pin the pool at
+// Max. A tenant with nothing parked cannot be accruing dispatch wait
+// right now.
+func (p *Platform) poolSignals(elastic bool) ctlplane.Signals {
+	s := ctlplane.Signals{
+		Compute: queueCounts(p.computePool.Queue()),
+		Comm:    queueCounts(p.commPool.Queue()),
+	}
+	if !elastic {
+		return s
+	}
 	for _, ts := range p.computeSched.Stats() {
-		queued += ts.Queued
-		if ts.Queued > 0 && ts.P99DispatchWait > p99 {
-			p99 = ts.P99DispatchWait
+		s.QueueLen += ts.Queued
+		if ts.Queued > 0 && ts.P99DispatchWait > s.WaitP99 {
+			s.WaitP99 = ts.P99DispatchWait
 		}
 	}
-	return ctlplane.Signals{
-		QueueLen: queued + p.computePool.Queue().Len(),
-		InFlight: p.computePool.InFlight(),
-		WaitP99:  p99,
-	}
+	s.QueueLen += s.Compute.Len
+	s.InFlight = p.computePool.InFlight()
+	return s
+}
+
+func queueCounts(q *engine.Queue) ctlplane.QueueCounts {
+	return ctlplane.QueueCounts{Pushed: q.Pushed(), Popped: q.Popped(), Len: q.Len()}
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"dandelion/internal/ctlplane"
 	"dandelion/internal/memctx"
 )
 
@@ -107,21 +106,13 @@ func TestAdmissionClampReconfigure(t *testing.T) {
 	}
 }
 
-// TestElasticityGrowsComputePool drives a slow function hard enough to
-// back up the compute plane and asserts the elasticity controller grows
-// the pool (EngineResizes > 0) and that autoscale reconfiguration
-// round-trips. The controller is stepped manually (no wall-clock
-// dependence); Options.Autoscale still exercises the Start/Stop path.
-func TestElasticityGrowsComputePool(t *testing.T) {
-	p := newPlatform(t, Options{
-		ComputeEngines: 1,
-		Autoscale:      true,
-	})
-	if !p.AutoscaleOn() {
-		t.Fatal("autoscale not on")
-	}
+// blockCompute registers a compute function that blocks until release
+// is called behind composition S, floods n single-instance invocations
+// at it so the backlog piles up in the scheduling plane, and waits
+// until the compute engine queue itself holds work.
+func blockCompute(t *testing.T, p *Platform, n int) (release func()) {
+	t.Helper()
 	block := make(chan struct{})
-	var once sync.Once
 	if err := p.RegisterFunction(ComputeFunc{Name: "Slow", Go: func(in []memctx.Set) ([]memctx.Set, error) {
 		<-block
 		return []memctx.Set{{Name: "Out", Items: in[0].Items}}, nil
@@ -134,35 +125,50 @@ composition S(In) => Result {
 }`); err != nil {
 		t.Fatal(err)
 	}
-
-	// Flood 32 single-instance invocations at a 1-engine pool; the
-	// function blocks, so the backlog piles up in the scheduling plane.
 	var wg sync.WaitGroup
-	for i := 0; i < 32; i++ {
+	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			call(p, "S", map[string][]memctx.Item{"In": items("x")})
 		}()
 	}
-	defer func() {
+	var once sync.Once
+	release = func() {
 		once.Do(func() { close(block) })
 		wg.Wait()
-	}()
-
-	// Wait until the backlog is visible, then step the controller past
-	// its hysteresis.
+	}
 	deadline := time.After(5 * time.Second)
-	for p.elasticSignals().QueueLen < 8 {
+	for s := p.poolSignals(true); s.QueueLen < n/4 || s.Compute.Len == 0; s = p.poolSignals(true) {
 		select {
 		case <-deadline:
-			t.Fatalf("backlog never formed: %+v", p.elasticSignals())
+			release()
+			t.Fatalf("backlog never formed: %+v", s)
 		case <-time.After(time.Millisecond):
 		}
 	}
-	e := p.Elasticity()
+	return release
+}
+
+// TestElasticityGrowsComputePool drives a slow function hard enough to
+// back up the compute plane and asserts the elasticity decision grows
+// the pool (EngineResizes > 0) and that autoscale reconfiguration
+// round-trips. The actuator is stepped manually (no wall-clock
+// dependence); Options.Autoscale still exercises the Start/Stop path.
+func TestElasticityGrowsComputePool(t *testing.T) {
+	p := newPlatform(t, Options{
+		ComputeEngines: 1,
+		Autoscale:      true,
+	})
+	if !p.AutoscaleOn() {
+		t.Fatal("autoscale not on")
+	}
+	release := blockCompute(t, p, 32)
+	defer release()
+
+	// Step the actuator past the grow hysteresis.
 	for i := 0; i < 8; i++ {
-		e.StepOnce()
+		p.pools.StepOnce()
 	}
 	if got := p.Stats().EngineResizes; got == 0 {
 		t.Fatalf("EngineResizes = %d, want > 0", got)
@@ -178,14 +184,78 @@ composition S(In) => Result {
 	}
 	before := p.Stats().EngineResizes
 	for i := 0; i < 8; i++ {
-		e.StepOnce()
+		p.pools.StepOnce()
 	}
 	if got := p.Stats().EngineResizes; got != before {
 		t.Fatalf("disabled controller resized: %d -> %d", before, got)
 	}
+}
 
-	once.Do(func() { close(block) })
-	wg.Wait()
+// TestBalanceKeepsComputeWithinAutoscaleBounds: with the PI balancer
+// and autoscale both on, a blocked compute backlog makes the PI
+// controller ask for comm's cores on every tick, yet the compute pool
+// never leaves [Min, Max] = [2, 2] (rule 3) and the core budget is
+// unchanged.
+func TestBalanceKeepsComputeWithinAutoscaleBounds(t *testing.T) {
+	p := newPlatform(t, Options{
+		Balance:        true,
+		Autoscale:      true,
+		ComputeEngines: 2,
+		CommEngines:    3,
+		AutoscaleMax:   2,
+	})
+	release := blockCompute(t, p, 32)
+	defer release()
+
+	for i := 0; i < 10; i++ {
+		p.pools.StepOnce()
+		time.Sleep(time.Millisecond)
+	}
+	if c, m := p.EngineCounts(); c != 2 || m != 3 {
+		t.Fatalf("EngineCounts = (%d, %d), want (2, 3): compute pushed past AutoscaleMax", c, m)
+	}
+
+	// Admin resizes race the control loop: every read sees each pool at
+	// ≥ 1 engine and compute in bounds, and no PI move changes the
+	// budget the last resize set.
+	t.Run("concurrent SetEngineCounts", func(t *testing.T) {
+		const n = 200
+		var writers sync.WaitGroup
+		writers.Add(2)
+		go func() {
+			defer writers.Done()
+			for i := 0; i < n; i++ {
+				p.SetEngineCounts(1+i%5, 1+i%4)
+			}
+		}()
+		go func() {
+			defer writers.Done()
+			for i := 0; i < n; i++ {
+				p.pools.StepOnce()
+			}
+		}()
+		stop, readerDone := make(chan struct{}), make(chan struct{})
+		go func() {
+			defer close(readerDone)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if c, m := p.EngineCounts(); c != 2 || m < 1 {
+					t.Errorf("EngineCounts = (%d, %d) mid-race: compute out of [2, 2] or comm < 1", c, m)
+					return
+				}
+			}
+		}()
+		writers.Wait()
+		close(stop)
+		<-readerDone
+		if c, m := p.EngineCounts(); c != 2 || m != 1+(n-1)%4 {
+			t.Fatalf("EngineCounts = (%d, %d), want (2, %d): the last resize's sizes", c, m, 1+(n-1)%4)
+		}
+	})
 }
 
 // TestPooledStoresIsolateInvocations: value stores and batch work
@@ -244,7 +314,7 @@ func TestSetEngineCountsClampedToElasticBounds(t *testing.T) {
 	p := newPlatform(t, Options{
 		ComputeEngines: 2,
 		Autoscale:      true,
-		Elasticity:     ctlplane.Config{Min: 2, Max: 4},
+		AutoscaleMax:   4,
 	})
 	p.SetEngineCounts(1, 1) // below Min
 	if c, _ := p.EngineCounts(); c != 2 {

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"dandelion/internal/autoscale"
-	"dandelion/internal/controlplane"
 	"dandelion/internal/ctlplane"
 	"dandelion/internal/dvm"
 	"dandelion/internal/engine"
@@ -68,7 +67,8 @@ type Options struct {
 	// Functions must treat input items as immutable under this option —
 	// payloads may be shared with other instances of the same batch.
 	ZeroCopy bool
-	// Balance starts the PI-controller core balancer.
+	// Balance enables the PI decision of the node's control loop: the
+	// §5 controller moving one core at a time between the pools.
 	Balance bool
 	// MaxDepth bounds nested composition recursion (default 16).
 	MaxDepth int
@@ -88,14 +88,14 @@ type Options struct {
 	// pool; 0 tracks the pool size (2× compute engines; comm engines ×
 	// their green-thread capacity).
 	DispatchWindow int
-	// Autoscale starts the elasticity controller: a control loop that
-	// grows and shrinks the compute pool from queue backlog and
-	// dispatch-wait p99 (see internal/ctlplane), counted in
-	// Stats.EngineResizes. It can be toggled at runtime via
-	// SetAutoscale. Elasticity tunes it; by default the pool floats in
-	// [ComputeEngines, 4×ComputeEngines].
-	Autoscale  bool
-	Elasticity ctlplane.Config
+	// Autoscale enables the elasticity decision of the node's control
+	// loop: the compute pool grows and shrinks from queue backlog and
+	// dispatch-wait p99 (see ctlplane.Pools), counted in
+	// Stats.EngineResizes, within [ComputeEngines, AutoscaleMax]
+	// (AutoscaleMax 0 = 4×ComputeEngines). It can be toggled at runtime
+	// via SetAutoscale.
+	Autoscale    bool
+	AutoscaleMax int
 	// Journal, when non-nil, makes the node durable: keyed invocations
 	// and admin reconfigurations are appended to it, and construction
 	// replays it — reconfig records re-apply through the Reconfigurer
@@ -119,13 +119,12 @@ type Platform struct {
 
 	computePool *engine.Pool
 	commPool    *engine.Pool
-	balancer    *controlplane.Balancer
 
-	// The dynamic control plane (ctlplane.go): the elasticity
-	// controller resizing the compute pool, the batch admission plane
-	// whose clamp the control plane can override, and the drain gate
-	// the invoke entry points check.
-	elastic  *ctlplane.Elasticity
+	// The dynamic control plane (ctlplane.go): the actuator that owns
+	// both pool sizes after boot, the batch admission plane whose clamp
+	// the control plane can override, and the drain gate the invoke
+	// entry points check.
+	pools    *ctlplane.Pools
 	adm      *autoscale.Admission
 	draining atomic.Bool
 
@@ -196,8 +195,8 @@ func NewPlatform(opts Options) (*Platform, error) {
 	p.commPool = engine.NewPool(engine.Communication, engine.NewQueue())
 	p.computePool.SetCount(opts.ComputeEngines)
 	p.commPool.SetCount(opts.CommEngines)
-	// The dispatch windows track pool sizes so the balancer's SetCount
-	// re-assignments widen or narrow the refill allowance automatically.
+	// The dispatch windows track pool sizes so the control loop's
+	// resizes widen or narrow the refill allowance automatically.
 	// Comm engines multiplex green threads, so their window is per-slot.
 	p.computeSched = sched.New(p.computePool.Queue(), sched.Config{
 		Window:       opts.DispatchWindow,
@@ -211,18 +210,16 @@ func NewPlatform(opts Options) (*Platform, error) {
 		Weights:      opts.TenantWeights,
 		ByteFairness: opts.ByteFairness,
 	})
+	var pi *ctlplane.Controller
 	if opts.Balance {
-		p.balancer = controlplane.NewBalancer(controlplane.NewController(), p.computePool, p.commPool)
-		p.balancer.Start()
+		pi = ctlplane.NewController()
 	}
+	var elastic *ctlplane.Elasticity
 	if opts.Autoscale {
-		ecfg := opts.Elasticity
-		if ecfg.Min < 1 {
-			ecfg.Min = opts.ComputeEngines
-		}
-		p.elastic = ctlplane.NewElasticity(ecfg, p.computePool, p.elasticSignals)
-		p.elastic.Start()
+		elastic = ctlplane.NewElasticity(ctlplane.Config{Min: opts.ComputeEngines, Max: opts.AutoscaleMax})
 	}
+	p.pools = ctlplane.NewPools(p.computePool, p.commPool, p.poolSignals, pi, elastic)
+	p.pools.Start()
 	p.dedup = journal.NewDedup(0)
 	if opts.Journal != nil {
 		p.jrnl = opts.Journal
@@ -234,16 +231,11 @@ func NewPlatform(opts Options) (*Platform, error) {
 	return p, nil
 }
 
-// Shutdown stops engines and the balancer, waiting for in-flight work.
-// The schedulers close first so parked tasks are rejected instead of
-// stranded behind a closing queue.
+// Shutdown stops the control loop and the engines, waiting for
+// in-flight work. The schedulers close first so parked tasks are
+// rejected instead of stranded behind a closing queue.
 func (p *Platform) Shutdown() {
-	if p.elastic != nil {
-		p.elastic.Stop()
-	}
-	if p.balancer != nil {
-		p.balancer.Stop()
-	}
+	p.pools.Stop()
 	p.computeSched.Close()
 	p.commSched.Close()
 	p.computePool.Shutdown()

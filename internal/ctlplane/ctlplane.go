@@ -5,27 +5,26 @@
 // First, the Reconfigurer interface — the contract every layer above
 // the dispatcher programs against when it wants to change a running
 // node: per-tenant DRR weights (applied through internal/sched),
-// engine-pool sizes (applied through engine.Pool.SetCount), batch
-// admission-window clamps (applied through internal/autoscale), the
-// elasticity controller's on/off switch, and drain/resume. core.Platform
+// engine-pool sizes (applied through Pools), batch admission-window
+// clamps (applied through internal/autoscale), the elasticity
+// controller's on/off switch, and drain/resume. core.Platform
 // implements it; the frontend's authenticated /admin routes and the
 // cluster manager's fan-out both speak it, so a weight update entered
 // over HTTP reaches the same code path an SDK caller uses.
 //
-// Second, the Elasticity controller — the goroutine that makes engine
-// pools elastic. Every control period it samples two load signals (queue
-// backlog and the scheduling plane's dispatch-wait p99) and grows or
-// shrinks the pool one engine at a time within [Min, Max] bounds.
-// Hysteresis on both edges (GrowHoldSteps consecutive hot observations
-// before a grow, ShrinkHoldSteps consecutive calm observations before a
-// shrink) keeps it from oscillating on bursty load. This complements the
-// PI core balancer in internal/controlplane: the balancer moves a fixed
-// core budget between the compute and communication pools, while the
-// elasticity controller changes the budget itself.
+// Second, Pools — the single owner of a node's two engine-pool sizes.
+// After boot it is the only code that resizes the compute and
+// communication pools. One 30 ms control loop per node runs two
+// decisions against one mutex-guarded pair of sizes: the Elasticity
+// decision, which grows or shrinks the compute pool one engine at a
+// time within [Min, Max] from backlog and dispatch-wait p99 with
+// hysteresis on both edges, and the §5 PI Controller, which moves one
+// core at a time between the pools from their queues' growth rates.
+// Manual SetEngineCounts calls and journal replay apply through the
+// same rules (see Pools).
 package ctlplane
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -44,8 +43,9 @@ type Reconfigurer interface {
 	// in (0, 1] among the compute plane's active tenants.
 	TenantShare(tenant string) float64
 	// SetEngineCounts resizes the compute and communication engine
-	// pools (values < 1 are clamped to 1); EngineCounts reads the
-	// current sizes.
+	// pools through Pools (values < 1 are clamped to 1; with autoscale
+	// enabled, compute is clamped into its bounds); EngineCounts reads
+	// the current sizes.
 	SetEngineCounts(compute, comm int)
 	EngineCounts() (compute, comm int)
 	// SetAutoscale toggles the elasticity controller at runtime; it is a
@@ -64,30 +64,42 @@ type Reconfigurer interface {
 	Draining() bool
 }
 
-// Pool is the slice of engine.Pool the elasticity controller actuates.
+// Pool is the slice of engine.Pool the actuator resizes.
 type Pool interface {
 	Count() int
 	SetCount(n int)
 }
 
-// Signals is one observation of the load the controller scales on.
+// QueueCounts is one engine queue's counters: cumulative pushes and
+// pops (the PI controller differentiates them into a growth rate) and
+// the current length.
+type QueueCounts struct {
+	Pushed, Popped uint64
+	Len            int
+}
+
+// Signals is one observation of the load the control loop acts on.
 type Signals struct {
-	// QueueLen is the backlog feeding the pool: tasks parked in the
-	// scheduling plane plus tasks in the engine queue.
+	// QueueLen is the backlog feeding the compute pool: tasks parked in
+	// the scheduling plane plus tasks in the engine queue.
 	QueueLen int
-	// InFlight is the number of tasks currently executing on engines.
+	// InFlight is the number of tasks currently executing on compute
+	// engines.
 	InFlight int
 	// WaitP99 is the scheduling plane's worst per-tenant dispatch-wait
 	// p99 — the fairness-facing latency signal.
 	WaitP99 time.Duration
+	// Compute and Comm are the two engine queues' counters, the PI
+	// controller's input.
+	Compute, Comm QueueCounts
 }
 
-// Config parameterizes an Elasticity controller. The zero value selects
+// Config parameterizes the Elasticity decision. The zero value selects
 // the documented defaults.
 type Config struct {
-	// Min and Max bound the pool size. Min defaults to 1; Max unset
-	// (≤ 0) defaults to 4×Min, and an explicit Max below Min is raised
-	// to Min (a fixed-size pool), never silently widened.
+	// Min and Max bound the compute pool size. Min defaults to 1; Max
+	// unset (≤ 0) defaults to 4×Min, and an explicit Max below Min is
+	// raised to Min (a fixed-size pool), never silently widened.
 	Min, Max int
 	// GrowBacklogPerEngine is the queue backlog per engine that reads as
 	// pressure (default 4).
@@ -102,9 +114,6 @@ type Config struct {
 	// conservative scale-down of internal/autoscale.
 	GrowHoldSteps   int
 	ShrinkHoldSteps int
-	// Period is the control interval (default 30ms, the paper's worker
-	// control-loop period).
-	Period time.Duration
 }
 
 func (c Config) withDefaults() Config {
@@ -128,47 +137,26 @@ func (c Config) withDefaults() Config {
 	if c.ShrinkHoldSteps < 1 {
 		c.ShrinkHoldSteps = 10
 	}
-	if c.Period <= 0 {
-		c.Period = 30 * time.Millisecond
-	}
 	return c
 }
 
-// Elasticity grows and shrinks one engine pool from load signals. It is
-// safe for concurrent use; StepOnce is exposed so tests (and callers
-// with their own timers) can drive it deterministically.
+// Elasticity is the hysteresis decision that grows and shrinks the
+// compute pool from load signals. It holds no pool and runs no loop:
+// Pools asks it for a decision each tick and applies it.
 type Elasticity struct {
 	cfg     Config
-	pool    Pool
-	signals func() Signals
-
-	enabled atomic.Bool
 	grows   atomic.Uint64
 	shrinks atomic.Uint64
 
-	mu         sync.Mutex
-	hotSteps   int
-	calmSteps  int
-	stop, done chan struct{}
+	// The hysteresis streaks, guarded by the owning Pools' mutex.
+	hotSteps, calmSteps int
 }
 
-// NewElasticity wires a controller to a pool and a signal source. The
-// controller starts enabled; Start launches the periodic loop.
-func NewElasticity(cfg Config, pool Pool, signals func() Signals) *Elasticity {
-	e := &Elasticity{cfg: cfg.withDefaults(), pool: pool, signals: signals}
-	e.enabled.Store(true)
-	return e
-}
-
-// SetEnabled toggles the controller without stopping its loop: disabled
-// steps observe nothing and never resize.
-func (e *Elasticity) SetEnabled(on bool) { e.enabled.Store(on) }
-
-// Enabled reports the controller switch.
-func (e *Elasticity) Enabled() bool { return e.enabled.Load() }
+// NewElasticity returns a decision with cfg's defaults filled in.
+func NewElasticity(cfg Config) *Elasticity { return &Elasticity{cfg: cfg.withDefaults()} }
 
 // Resizes reports the cumulative number of pool resizes (grows plus
-// shrinks) the controller has applied — the EngineResizes stats gauge.
+// shrinks) the decision has made — the EngineResizes stats gauge.
 func (e *Elasticity) Resizes() uint64 { return e.grows.Load() + e.shrinks.Load() }
 
 // Grows and Shrinks split Resizes by direction.
@@ -178,32 +166,22 @@ func (e *Elasticity) Shrinks() uint64 { return e.shrinks.Load() }
 // Bounds reports the configured [Min, Max] pool-size bounds.
 func (e *Elasticity) Bounds() (min, max int) { return e.cfg.Min, e.cfg.Max }
 
-// StepOnce performs one observe/decide/actuate cycle.
+// step decides for a compute pool of n engines: +1 grow, -1 shrink,
+// 0 hold. canGrow false refuses a grow the way reaching Max does (the
+// hot streak keeps counting).
 //
-// Hot (backlog ≥ GrowBacklogPerEngine×count, or dispatch-wait p99 ≥
+// Hot (backlog ≥ GrowBacklogPerEngine×n, or dispatch-wait p99 ≥
 // GrowWaitP99) for GrowHoldSteps consecutive steps grows the pool by
 // one engine, up to Max. Calm (empty backlog and an idle engine) for
 // ShrinkHoldSteps consecutive steps shrinks by one, down to Min. Any
 // observation that is neither resets both streaks — the hysteresis that
 // keeps a pool from thrashing between sizes under oscillating load.
 //
-// A pool found below Min is NOT forced back up outside the load
-// signals: another actuator may legitimately hold it there (the PI core
-// balancer moves a core compute→comm preserving the total budget, and
-// an unconditional restore here would re-add that core every step,
-// inflating the budget without bound). Below Min, shrinking stops and
-// any hot observation grows immediately — Min is re-approached exactly
-// as fast as load justifies it. Manual SetEngineCounts undershoot is
-// prevented at apply time instead (core.Platform clamps into the
-// controller's bounds while it is enabled).
-func (e *Elasticity) StepOnce() {
-	if !e.enabled.Load() {
-		return
-	}
-	s := e.signals()
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	n := e.pool.Count()
+// A pool found below Min (an admin resize made with autoscale off) is
+// NOT forced back up outside the load signals: shrinking stops and any
+// hot observation grows immediately, so Min is re-approached exactly as
+// fast as load justifies it.
+func (e *Elasticity) step(n int, s Signals, canGrow bool) int {
 	hot := s.QueueLen >= e.cfg.GrowBacklogPerEngine*max(n, 1) || s.WaitP99 >= e.cfg.GrowWaitP99
 	calm := s.QueueLen == 0 && s.InFlight < n
 	switch {
@@ -214,59 +192,21 @@ func (e *Elasticity) StepOnce() {
 		if n < e.cfg.Min {
 			hold = 1 // below the floor, any pressure grows immediately
 		}
-		if e.hotSteps >= hold && n < e.cfg.Max {
-			e.pool.SetCount(n + 1)
+		if e.hotSteps >= hold && n < e.cfg.Max && canGrow {
 			e.grows.Add(1)
 			e.hotSteps = 0
+			return 1
 		}
 	case calm:
 		e.hotSteps = 0
 		e.calmSteps++
 		if e.calmSteps >= e.cfg.ShrinkHoldSteps && n > e.cfg.Min {
-			e.pool.SetCount(n - 1)
 			e.shrinks.Add(1)
 			e.calmSteps = 0
+			return -1
 		}
 	default:
 		e.hotSteps, e.calmSteps = 0, 0
 	}
-}
-
-// Start launches the periodic control loop; it is idempotent.
-func (e *Elasticity) Start() {
-	e.mu.Lock()
-	if e.stop != nil {
-		e.mu.Unlock()
-		return
-	}
-	e.stop = make(chan struct{})
-	e.done = make(chan struct{})
-	stop, done := e.stop, e.done
-	e.mu.Unlock()
-
-	go func() {
-		defer close(done)
-		ticker := time.NewTicker(e.cfg.Period)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-ticker.C:
-				e.StepOnce()
-			}
-		}
-	}()
-}
-
-// Stop halts the control loop and waits for it to exit.
-func (e *Elasticity) Stop() {
-	e.mu.Lock()
-	stop, done := e.stop, e.done
-	e.stop, e.done = nil, nil
-	e.mu.Unlock()
-	if stop != nil {
-		close(stop)
-		<-done
-	}
+	return 0
 }

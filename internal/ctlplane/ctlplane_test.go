@@ -6,7 +6,7 @@ import (
 	"time"
 )
 
-// fakePool is a deterministic Pool for driving the controller by hand.
+// fakePool is a deterministic Pool for driving the actuator by hand.
 type fakePool struct {
 	mu sync.Mutex
 	n  int
@@ -24,24 +24,32 @@ func (p *fakePool) SetCount(n int) {
 	p.n = n
 }
 
+// newElastic builds an autoscale-only actuator over a fake compute pool
+// of n engines and a one-engine comm pool, so the budget ceiling (rule
+// 4) reduces to compute < Max.
+func newElastic(cfg Config, n int, signals func() Signals) (*Pools, *fakePool, *Elasticity) {
+	pool := &fakePool{n: n}
+	e := NewElasticity(cfg)
+	return NewPools(pool, &fakePool{n: 1}, func(bool) Signals { return signals() }, nil, e), pool, e
+}
+
 func TestElasticityGrowsUnderBacklogWithHysteresis(t *testing.T) {
-	pool := &fakePool{n: 1}
 	sig := Signals{QueueLen: 100}
-	e := NewElasticity(Config{Min: 1, Max: 3, GrowHoldSteps: 2},
-		pool, func() Signals { return sig })
+	p, pool, e := newElastic(Config{Min: 1, Max: 3, GrowHoldSteps: 2}, 1,
+		func() Signals { return sig })
 
 	// One hot step is not enough: hysteresis demands GrowHoldSteps.
-	e.StepOnce()
+	p.StepOnce()
 	if pool.Count() != 1 {
 		t.Fatalf("grew after one hot step: count=%d", pool.Count())
 	}
-	e.StepOnce()
+	p.StepOnce()
 	if pool.Count() != 2 {
 		t.Fatalf("count after 2 hot steps = %d, want 2", pool.Count())
 	}
 	// Sustained pressure keeps growing, but never past Max.
 	for i := 0; i < 10; i++ {
-		e.StepOnce()
+		p.StepOnce()
 	}
 	if pool.Count() != 3 {
 		t.Fatalf("count under sustained pressure = %d, want Max=3", pool.Count())
@@ -52,35 +60,33 @@ func TestElasticityGrowsUnderBacklogWithHysteresis(t *testing.T) {
 }
 
 func TestElasticityGrowsOnDispatchWaitP99(t *testing.T) {
-	pool := &fakePool{n: 1}
 	sig := Signals{WaitP99: 50 * time.Millisecond} // empty queue, slow dispatch
-	e := NewElasticity(Config{Min: 1, Max: 2, GrowHoldSteps: 1, GrowWaitP99: 10 * time.Millisecond},
-		pool, func() Signals { return sig })
-	e.StepOnce()
+	p, pool, _ := newElastic(Config{Min: 1, Max: 2, GrowHoldSteps: 1, GrowWaitP99: 10 * time.Millisecond}, 1,
+		func() Signals { return sig })
+	p.StepOnce()
 	if pool.Count() != 2 {
 		t.Fatalf("count = %d, want 2 (p99 pressure)", pool.Count())
 	}
 }
 
 func TestElasticityShrinksWhenCalm(t *testing.T) {
-	pool := &fakePool{n: 3}
 	sig := Signals{QueueLen: 0, InFlight: 0}
-	e := NewElasticity(Config{Min: 1, Max: 3, ShrinkHoldSteps: 3},
-		pool, func() Signals { return sig })
+	p, pool, e := newElastic(Config{Min: 1, Max: 3, ShrinkHoldSteps: 3}, 3,
+		func() Signals { return sig })
 
 	for i := 0; i < 2; i++ {
-		e.StepOnce()
+		p.StepOnce()
 	}
 	if pool.Count() != 3 {
 		t.Fatalf("shrank before hold steps: count=%d", pool.Count())
 	}
-	e.StepOnce() // third consecutive calm step
+	p.StepOnce() // third consecutive calm step
 	if pool.Count() != 2 {
 		t.Fatalf("count after hold = %d, want 2", pool.Count())
 	}
 	// Keep calm long enough and it bottoms out at Min, never below.
 	for i := 0; i < 20; i++ {
-		e.StepOnce()
+		p.StepOnce()
 	}
 	if pool.Count() != 1 {
 		t.Fatalf("count = %d, want Min=1", pool.Count())
@@ -91,7 +97,6 @@ func TestElasticityShrinksWhenCalm(t *testing.T) {
 }
 
 func TestElasticityMixedSignalsResetStreaks(t *testing.T) {
-	pool := &fakePool{n: 2}
 	sigs := []Signals{
 		{QueueLen: 0, InFlight: 0}, // calm
 		{QueueLen: 0, InFlight: 0}, // calm
@@ -100,10 +105,10 @@ func TestElasticityMixedSignalsResetStreaks(t *testing.T) {
 		{QueueLen: 0, InFlight: 0},
 	}
 	i := 0
-	e := NewElasticity(Config{Min: 1, Max: 4, ShrinkHoldSteps: 3},
-		pool, func() Signals { s := sigs[i]; i++; return s })
+	p, pool, _ := newElastic(Config{Min: 1, Max: 4, ShrinkHoldSteps: 3}, 2,
+		func() Signals { s := sigs[i]; i++; return s })
 	for range sigs {
-		e.StepOnce()
+		p.StepOnce()
 	}
 	if pool.Count() != 2 {
 		t.Fatalf("count = %d, want 2 (streak was reset)", pool.Count())
@@ -111,55 +116,58 @@ func TestElasticityMixedSignalsResetStreaks(t *testing.T) {
 }
 
 func TestElasticityDisabledHoldsStill(t *testing.T) {
-	pool := &fakePool{n: 1}
-	e := NewElasticity(Config{Min: 1, Max: 8, GrowHoldSteps: 1},
-		pool, func() Signals { return Signals{QueueLen: 1000} })
-	e.SetEnabled(false)
+	p, pool, e := newElastic(Config{Min: 1, Max: 8, GrowHoldSteps: 1}, 1,
+		func() Signals { return Signals{QueueLen: 1000} })
+	p.SetAutoscale(false)
 	for i := 0; i < 5; i++ {
-		e.StepOnce()
+		p.StepOnce()
 	}
 	if pool.Count() != 1 || e.Resizes() != 0 {
 		t.Fatalf("disabled controller acted: count=%d resizes=%d", pool.Count(), e.Resizes())
 	}
-	e.SetEnabled(true)
-	e.StepOnce()
+	p.SetAutoscale(true)
+	p.StepOnce()
 	if pool.Count() != 2 {
 		t.Fatalf("re-enabled controller idle: count=%d", pool.Count())
 	}
 }
 
-// TestElasticityBelowMinComposesWithOtherActuators: a pool another
-// actuator (e.g. the PI core balancer) pushed below Min is NOT forced
-// back while idle — an unconditional restore would re-add the moved
-// core every step, inflating the total budget without bound — but any
-// pressure grows it immediately, skipping the grow hysteresis.
+// TestElasticityBelowMinComposesWithOtherActuators: a PI move cannot
+// take compute below Min (rule 3), so only an admin resize made with
+// autoscale off can. Such a pool is NOT forced back while idle —
+// the operator chose that size, and an unconditional restore would
+// resize behind their back — but any pressure grows it immediately,
+// skipping the grow hysteresis.
 func TestElasticityBelowMinComposesWithOtherActuators(t *testing.T) {
-	pool := &fakePool{n: 1} // balancer took a core: below Min=2
 	sig := Signals{}
-	e := NewElasticity(Config{Min: 2, Max: 4, GrowHoldSteps: 3},
-		pool, func() Signals { return sig })
+	p, pool, e := newElastic(Config{Min: 2, Max: 4, GrowHoldSteps: 3}, 2,
+		func() Signals { return sig })
+	p.SetAutoscale(false)
+	p.SetEngineCounts(1, 1) // admin resize below Min=2
+	p.SetAutoscale(true)
 
 	// Idle: no forced restore, no spurious resizes, no shrinking either.
 	for i := 0; i < 5; i++ {
-		e.StepOnce()
+		p.StepOnce()
 	}
 	if pool.Count() != 1 || e.Resizes() != 0 {
 		t.Fatalf("idle below Min: count=%d resizes=%d, want 1/0", pool.Count(), e.Resizes())
 	}
 	// Pressure: grows on the first hot step despite GrowHoldSteps=3.
 	sig = Signals{QueueLen: 100}
-	e.StepOnce()
+	p.StepOnce()
 	if pool.Count() != 2 {
 		t.Fatalf("hot below Min: count=%d, want 2 (immediate grow)", pool.Count())
 	}
 }
 
+// TestElasticityStartStop runs the actuator's own 30 ms loop with only
+// the elasticity decision configured.
 func TestElasticityStartStop(t *testing.T) {
-	pool := &fakePool{n: 1}
-	e := NewElasticity(Config{Min: 1, Max: 4, GrowHoldSteps: 1, Period: time.Millisecond},
-		pool, func() Signals { return Signals{QueueLen: 100} })
-	e.Start()
-	e.Start() // idempotent
+	p, pool, e := newElastic(Config{Min: 1, Max: 4, GrowHoldSteps: 1}, 1,
+		func() Signals { return Signals{QueueLen: 100} })
+	p.Start()
+	p.Start() // idempotent
 	deadline := time.After(2 * time.Second)
 	for pool.Count() < 4 {
 		select {
@@ -168,8 +176,8 @@ func TestElasticityStartStop(t *testing.T) {
 		case <-time.After(time.Millisecond):
 		}
 	}
-	e.Stop()
-	e.Stop() // idempotent
+	p.Stop()
+	p.Stop() // idempotent
 	if e.Resizes() < 3 {
 		t.Fatalf("resizes = %d, want >= 3", e.Resizes())
 	}
@@ -190,8 +198,7 @@ func TestConfigBoundsNormalization(t *testing.T) {
 		{Config{Min: -3, Max: -1}, 1, 4}, // garbage: defaults
 	}
 	for _, c := range cases {
-		e := NewElasticity(c.in, &fakePool{n: c.in.Min}, func() Signals { return Signals{} })
-		if min, max := e.Bounds(); min != c.min || max != c.max {
+		if min, max := NewElasticity(c.in).Bounds(); min != c.min || max != c.max {
 			t.Errorf("Config %+v → bounds [%d, %d], want [%d, %d]", c.in, min, max, c.min, c.max)
 		}
 	}

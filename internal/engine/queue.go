@@ -13,8 +13,9 @@
 //     steal from, keeping hot dispatch off any shared line.
 //
 // The exported contract is unchanged: Push/Pop/TryPop/Len/Pushed/
-// Popped/Close behave as before, so engine.Pool, the PI balancer in
-// internal/controlplane, and SetCount re-assignment keep working.
+// Popped/Close behave as before, so engine.Pool, the control loop in
+// internal/ctlplane (whose PI decision differentiates Pushed/Popped and
+// whose pool resizes go through SetCount) keep working.
 // Blocking is handled by a parking lot (mutex+cond) entered only after
 // the lock-free paths come up empty.
 //

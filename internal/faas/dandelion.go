@@ -1,6 +1,7 @@
 package faas
 
 import (
+	"dandelion/internal/ctlplane"
 	"dandelion/internal/isolation"
 	"dandelion/internal/sim"
 )
@@ -59,8 +60,9 @@ type Dandelion struct {
 
 	computeCores int
 	commCores    int
-	// controller state
-	integral   float64
+	// controller state: the §5 PI controller the live node runs, and
+	// the queue lengths it differentiates.
+	pi         *ctlplane.Controller
 	prevCompQ  int
 	prevCommQ  int
 	warmIdle   int // idle warm sandboxes (WarmCache ablation)
@@ -82,6 +84,7 @@ func NewDandelion(eng *sim.Engine, cfg DandelionConfig) *Dandelion {
 	d.commSlots = sim.NewResource(eng, d.commCores*cfg.CommConcurrency)
 	d.commCPU = sim.NewResource(eng, d.commCores)
 	if cfg.Balance {
+		d.pi = ctlplane.NewController()
 		// Defer the first control step one period so the experiment's
 		// pre-scheduled arrivals exist before the loop decides whether
 		// the node is drained.
@@ -93,26 +96,19 @@ func NewDandelion(eng *sim.Engine, cfg DandelionConfig) *Dandelion {
 // CoreSplit reports the current (compute, comm) core allocation.
 func (d *Dandelion) CoreSplit() (int, int) { return d.computeCores, d.commCores }
 
-// controlStep is the PI controller (§5): every 30 ms it compares the
-// queue growth of the two engine types and moves one core.
+// controlStep runs the PI controller (§5): every 30 ms it compares the
+// queue growth of the two engine types and moves one core, with the
+// live actuator's floor and empty-queue guard.
 func (d *Dandelion) controlStep() {
 	compQ := d.compute.QueueLen()
 	commQ := d.commCPU.QueueLen() + d.commSlots.QueueLen()
-	errSig := float64(compQ-d.prevCompQ) - float64(commQ-d.prevCommQ)
+	move := d.pi.Step(float64(compQ-d.prevCompQ), float64(commQ-d.prevCommQ))
 	d.prevCompQ, d.prevCommQ = compQ, commQ
-	d.integral += errSig
-	if d.integral > 50 {
-		d.integral = 50
-	}
-	if d.integral < -50 {
-		d.integral = -50
-	}
-	u := 0.5*errSig + 0.1*d.integral
 	switch {
-	case u > 0.5 && d.commCores > 1 && compQ > 0:
+	case move > 0 && d.commCores > 1 && compQ > 0:
 		d.commCores--
 		d.computeCores++
-	case u < -0.5 && d.computeCores > 1 && commQ > 0:
+	case move < 0 && d.computeCores > 1 && commQ > 0:
 		d.computeCores--
 		d.commCores++
 	}

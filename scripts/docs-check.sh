@@ -102,6 +102,19 @@ for name in $(sed -n 's/^\s*Workload[A-Za-z0-9]*\s*=\s*"\([A-Za-z0-9]*\)".*/\1/p
   fi
 done
 
+# Rule 9: every backticked source path in the docs (`internal/...`,
+# `cmd/...`) must exist in the tree. A `.go` path must name a file; any
+# other path, after stripping a `.Symbol` suffix (`internal/stats.ShardIndex`),
+# must name a directory. Catches docs pointing at deleted packages.
+for path in $(grep -ho '`\(internal\|cmd\)/[A-Za-z0-9_./-]*`' $docs | tr -d '`' | sort -u); do
+  case "$path" in
+    *.go) [ -f "$path" ] && continue ;;
+    *) [ -d "${path%%.*}" ] && continue ;;
+  esac
+  echo "docs-check: path \`$path\` referenced in docs but not found in the tree" >&2
+  fail=1
+done
+
 if [ "$fail" -eq 0 ]; then
   echo "docs-check: OK"
 fi
